@@ -354,6 +354,21 @@ class Technology:
         """Return a copy with top-level fields replaced."""
         return dataclasses.replace(self, **kwargs)
 
+    def fingerprint(self) -> tuple:
+        """Hashable snapshot of every spec value, nested specs flattened
+        to tuples in declaration order.
+
+        Two technologies share a fingerprint exactly when they are
+        equal.  Process-wide physics memos (weight-ring tables, eoADC
+        ladders) key on it rather than on identity, because a
+        ``Technology`` is a mutable dataclass: equal corners built
+        separately share memo entries, and an in-place edit misses.
+        """
+        return tuple(
+            tuple(vars(value).values()) if hasattr(value, "__dataclass_fields__") else value
+            for value in vars(self).values()
+        )
+
 
 def default_technology() -> Technology:
     """The GF45SPCLO-calibrated technology used throughout the paper."""

@@ -18,11 +18,19 @@ function is evaluated at every channel wavelength, reproducing the
 paper's all-rings-in-testbench methodology; the per-channel PDK mode
 (:meth:`compute_per_channel`) mirrors the paper's one-wavelength-at-a-
 time workaround and agrees with the joint evaluation by linearity.
+
+Weight rings differ only in channel index (the PDK length adjustment)
+and stored bit (pSRAM drive 0 or VDD), so each ring's thru
+transmission at every channel wavelength takes one of two values.
+Those on/off rows are evaluated once per distinct ring physical state
+and kept in a bounded process-wide memo; a weight load is then a
+vectorised select-and-multiply over the core's ring tables.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -36,9 +44,49 @@ from ..photonics.wdm import ChannelPlan
 from .multiplier import OneBitPhotonicMultiplier
 from .psram import PsramArray
 
+#: Bound on :data:`_RING_TABLE_MEMO` entries (least recently used
+#: evicted).  One entry is a (2, channels) array; a core at nominal
+#: physics needs one per channel index.
+RING_TABLE_MEMO_SIZE = 1024
+
+#: Process-wide memo: weight-ring state -> (2, channels) thru
+#: transmissions at the channel wavelengths, row 0 with the bit at 0
+#: (drive 0 V), row 1 with the bit at 1 (drive VDD).  Keyed by the
+#: technology fingerprint followed by the ring's ``physical_state()``.
+_RING_TABLE_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _on_off_rows(key: tuple, ring, wavelengths: np.ndarray, vdd: float) -> np.ndarray:
+    """Memoised (off, on) thru-transmission rows of one ring state."""
+    rows = _RING_TABLE_MEMO.get(key)
+    if rows is not None:
+        _RING_TABLE_MEMO.move_to_end(key)
+        return rows
+    rows = np.stack(
+        [
+            np.asarray(ring.thru_transmission(wavelengths, voltage=0.0), dtype=float),
+            np.asarray(ring.thru_transmission(wavelengths, voltage=vdd), dtype=float),
+        ]
+    )
+    rows.flags.writeable = False
+    _RING_TABLE_MEMO[key] = rows
+    while len(_RING_TABLE_MEMO) > RING_TABLE_MEMO_SIZE:
+        _RING_TABLE_MEMO.popitem(last=False)
+    return rows
+
 
 class VectorComputeCore:
-    """A 1 x m, n-bit photonic vector-multiplication engine."""
+    """A 1 x m, n-bit photonic vector-multiplication engine.
+
+    ``multipliers[element][plane]`` holds one ring per input element
+    per bit plane.  The core keeps per-ring on/off thru-transmission
+    tables of shape ``(elements, planes, 2, channels)``, filled from the
+    process-wide ring-state memo and revalidated against every ring's
+    live state on each :meth:`load_weights` (rings may be retuned from
+    outside, e.g. thermal drift and heater lock), so a load builds the
+    transmission cache without evaluating a ring unless its state is
+    new to the process.
+    """
 
     def __init__(
         self,
@@ -91,7 +139,12 @@ class VectorComputeCore:
                 for plane in range(self.weight_bits)
             ]
             self.multipliers.append(planes)
+        self._flat_multipliers = [m for planes in self.multipliers for m in planes]
 
+        #: (elements, planes, 2, channels) off/on ring transmissions and
+        #: the technology fingerprint + ring states they were built for.
+        self._ring_tables: np.ndarray | None = None
+        self._ring_key: tuple | None = None
         self._weights = np.zeros(vector_length, dtype=int)
         self._transmission_cache: np.ndarray | None = None
         self.load_weights(self._weights)
@@ -117,28 +170,69 @@ class VectorComputeCore:
             raise ConfigurationError(
                 f"weights must lie in [0, {self.max_weight}] for {self.weight_bits} bits"
             )
-        self.weight_memory.write_all(int(w) for w in weights)
-        for element, planes in enumerate(self.multipliers):
-            bits = self.weight_memory.word_bits(element)
-            for plane, multiplier in enumerate(planes):
-                multiplier.bit = bits[plane]
+        self.weight_memory.write_all(weights)
+        bits = self.weight_memory.bit_matrix
+        for multiplier, bit in zip(self._flat_multipliers, bits.ravel().tolist()):
+            multiplier.bit = bit
         self._weights = weights
-        self._transmission_cache = self._build_transmission_cache()
+        self._transmission_cache = self._bus_product(bits)
 
-    def _build_transmission_cache(self) -> np.ndarray:
+    # -- ring tables ------------------------------------------------------------
+    def _current_ring_tables(self) -> np.ndarray:
+        """The per-ring on/off tables, rebuilt if the technology value
+        or any ring's physical state changed since they were built."""
+        states = [m.ring.physical_state() for m in self._flat_multipliers]
+        key = (self.technology.fingerprint(), states)
+        if self._ring_tables is not None and key == self._ring_key:
+            return self._ring_tables
+        self.invalidate_ring_tables()
+        wavelengths = self.plan.wavelengths
+        vdd = self.technology.psram.vdd
+        distinct: dict[tuple, np.ndarray] = {}
+        for multiplier, state in zip(self._flat_multipliers, states):
+            if state not in distinct:
+                distinct[state] = _on_off_rows(
+                    (key[0],) + state, multiplier.ring, wavelengths, vdd
+                )
+        tables = np.stack([distinct[state] for state in states]).reshape(
+            self.vector_length, self.weight_bits, 2, self.channels_per_macro
+        )
+        self._ring_tables = tables
+        self._ring_key = key
+        return tables
+
+    def invalidate_ring_tables(self) -> None:
+        """Drop this core's ring tables so the next load or
+        full-scale probe regathers them from the memo.  Every load
+        already revalidates them against the live ring states, so a
+        retuned ring never needs this; it is the reset the rebuild
+        itself goes through."""
+        self._ring_tables = None
+        self._ring_key = None
+
+    def _bus_product(self, bits: np.ndarray) -> np.ndarray:
         """Per-(macro, plane, channel) bus transmission with crosstalk.
 
         Entry [g, j, c] is the product of every ring transfer on macro
-        g's plane-j bus, evaluated at channel c's wavelength.
+        g's plane-j bus, evaluated at channel c's wavelength.  ``bits``
+        (elements, planes) selects each ring's on or off row; the
+        product runs over macro g's elements in ascending order, the
+        multiply order of a per-ring loop, so the cache is bitwise that
+        loop's.
         """
-        wavelengths = self.plan.wavelengths
-        cache = np.ones(
-            (self.macro_count, self.weight_bits, self.channels_per_macro), dtype=float
+        tables = self._current_ring_tables()
+        rings = np.where(
+            bits[:, :, np.newaxis].astype(bool), tables[:, :, 1], tables[:, :, 0]
         )
-        for element, planes in enumerate(self.multipliers):
-            macro = element // self.channels_per_macro
-            for plane, multiplier in enumerate(planes):
-                cache[macro, plane, :] *= multiplier.thru_transmission(wavelengths)
+        per_macro = self.channels_per_macro
+        padded = np.ones(
+            (self.macro_count * per_macro, self.weight_bits, per_macro), dtype=float
+        )
+        padded[: self.vector_length] = rings
+        padded = padded.reshape(self.macro_count, per_macro, self.weight_bits, per_macro)
+        cache = padded[:, 0].copy()
+        for position in range(1, per_macro):
+            cache *= padded[:, position]
         return cache
 
     # -- evaluation ---------------------------------------------------------------
@@ -218,21 +312,13 @@ class VectorComputeCore:
     def full_scale_current(self) -> float:
         """Photocurrent with all inputs at 1 and all weights at max.
 
-        Evaluated analytically (rings probed at the VDD drive) so this
-        calibration probe does not spend pSRAM write energy.
+        Evaluated analytically (every ring's "on" table row, the VDD
+        drive) so this calibration probe does not spend pSRAM write
+        energy.
         """
-        wavelengths = self.plan.wavelengths
-        vdd = self.technology.psram.vdd
-        cache = np.ones(
-            (self.macro_count, self.weight_bits, self.channels_per_macro), dtype=float
+        cache = self._bus_product(
+            np.ones((self.vector_length, self.weight_bits), dtype=np.uint8)
         )
-        for element, planes in enumerate(self.multipliers):
-            macro = element // self.channels_per_macro
-            for plane, multiplier in enumerate(planes):
-                cache[macro, plane, :] *= np.asarray(
-                    multiplier.ring.thru_transmission(wavelengths, voltage=vdd),
-                    dtype=float,
-                )
         fractions = np.asarray(self.splitter_tree.branch_fractions())
         power_per_channel = self.technology.compute.channel_power
         responsivity = self.photodiode.spec.responsivity

@@ -19,6 +19,7 @@ implemented here.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ from ..errors import ConfigurationError, ConversionError
 from ..photonics.mrr import AllPassMRR
 from ..photonics.pn_junction import DepletionTuner
 from ..sim.transient import FirstOrderLag, Recorder, TransientEngine
+
+#: Bound on :data:`_LADDER_MEMO` entries (least recently used evicted).
+LADDER_MEMO_SIZE = 64
+
+#: Process-wide memo of bisected code ladders, keyed by
+#: :meth:`EoAdc._ladder_key`: every fresh converter with the same
+#: technology value, spec, trims, ring state and decoder strictness
+#: reuses one bisection instead of re-running hundreds of conversions.
+_LADDER_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 @dataclass
@@ -232,11 +242,49 @@ class EoAdc:
         zones), ``np.searchsorted(boundaries, v, side="right")``
         reproduces ``convert(v)`` exactly for every in-range ``v`` —
         this ladder is what the :mod:`repro.runtime` compiler bins whole
-        batches against.  The result is cached; ring trims never change
-        after construction.
+        batches against.
+
+        The result is memoised twice: on this converter (trims are
+        assumed fixed after construction; see
+        :meth:`invalidate_boundaries`) and in a bounded process-wide
+        memo keyed by :meth:`_ladder_key`, so a fresh converter of an
+        already-bisected design costs no conversions.  The returned
+        array is shared and read-only.
         """
         if self._code_boundaries is not None:
             return self._code_boundaries
+        key = self._ladder_key()
+        boundaries = _LADDER_MEMO.get(key)
+        if boundaries is None:
+            boundaries = self._bisect_boundaries()
+            boundaries.flags.writeable = False
+            _LADDER_MEMO[key] = boundaries
+            while len(_LADDER_MEMO) > LADDER_MEMO_SIZE:
+                _LADDER_MEMO.popitem(last=False)
+        else:
+            _LADDER_MEMO.move_to_end(key)
+        self._code_boundaries = boundaries
+        return boundaries
+
+    def _ladder_key(self) -> tuple:
+        """Everything the settled transfer function reads: technology
+        value, spec, trims and reference ladder, each ring's physical
+        state, the thresholder references and decoder strictness."""
+        return (
+            self.technology.fingerprint(),
+            tuple(vars(self.spec).values()),
+            np.asarray(self.trim_errors, dtype=float).tobytes(),
+            np.asarray(self.reference_voltages, dtype=float).tobytes(),
+            tuple(ring.physical_state() for ring in self.rings),
+            tuple(
+                (thresholder.reference_power, thresholder.hysteresis_power)
+                for thresholder in self.thresholders
+            ),
+            self.decoder.strict,
+        )
+
+    def _bisect_boundaries(self) -> np.ndarray:
+        """Bisect :meth:`convert` for every code transition."""
         upper_probe = self.spec.full_scale_voltage - 1e-9
         top_code = self.convert(upper_probe)
         boundaries = np.empty(self.levels - 1)
@@ -262,7 +310,6 @@ class EoAdc:
                     low = mid
             boundaries[code - 1] = high
             lower = low
-        self._code_boundaries = boundaries
         return boundaries
 
     def invalidate_boundaries(self) -> None:
@@ -274,9 +321,12 @@ class EoAdc:
         studies, recalibration re-trims) silently breaks that
         assumption — call this (or
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.
-        invalidate_ladders` on the owning core) afterwards.
+        invalidate_ladders` on the owning core) afterwards.  The
+        process-wide entry for the converter's current state is dropped
+        too, so a recalibration really re-bisects.
         """
         self._code_boundaries = None
+        _LADDER_MEMO.pop(self._ladder_key(), None)
 
     def convert_clamped(self, v_in: float) -> int:
         """Conversion with the input clipped into the full-scale range."""

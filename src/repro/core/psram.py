@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import Technology, default_technology
 from ..electronics.driver import InverterDriver
 from ..electronics.elements import StorageNode
@@ -235,29 +237,44 @@ class PsramBitcell:
 
     # -- energy / power accounting ------------------------------------------------
     def switching_energy_ledger(self, state_flipped: bool = True) -> EnergyLedger:
-        """Energy of one write event (paper: 0.5 pJ per switch).
-
-        Optical terms are wall-plug converted with the 0.23 efficiency;
-        the electrical term is the calibrated switched capacitance and
-        is only spent when the latch actually flips.
-        """
-        spec = self.spec
-        ledger = EnergyLedger(self.technology.wall_plug_efficiency)
-        cycle = 1.0 / spec.update_rate
-        ledger.add_optical("write pulse", spec.write_power * spec.write_pulse_width)
-        ledger.add_optical("hold bias (1 cycle)", spec.bias_power * cycle)
-        if state_flipped:
-            ledger.add_electrical(
-                "node/driver switching", spec.switched_capacitance * spec.vdd**2
-            )
-        return ledger
+        """Energy of one write event (paper: 0.5 pJ per switch); see
+        :func:`switching_energy_ledger`."""
+        return switching_energy_ledger(self.technology, state_flipped)
 
     def hold_power_ledger(self) -> PowerLedger:
-        """Static power while holding a bit."""
-        ledger = PowerLedger(self.technology.wall_plug_efficiency)
-        ledger.add_optical("hold bias laser", self.spec.bias_power)
-        ledger.add_electrical("driver leakage", self.spec.hold_electrical_power)
-        return ledger
+        """Static power while holding a bit; see :func:`hold_power_ledger`."""
+        return hold_power_ledger(self.technology)
+
+
+def switching_energy_ledger(
+    technology: Technology, state_flipped: bool = True
+) -> EnergyLedger:
+    """Energy of one bitcell write event (paper: 0.5 pJ per switch).
+
+    Optical terms are wall-plug converted with the 0.23 efficiency;
+    the electrical term is the calibrated switched capacitance and
+    is only spent when the latch actually flips.  A function of the
+    spec alone, so the array ledger prices switches without building
+    a bitcell.
+    """
+    spec = technology.psram
+    ledger = EnergyLedger(technology.wall_plug_efficiency)
+    cycle = 1.0 / spec.update_rate
+    ledger.add_optical("write pulse", spec.write_power * spec.write_pulse_width)
+    ledger.add_optical("hold bias (1 cycle)", spec.bias_power * cycle)
+    if state_flipped:
+        ledger.add_electrical(
+            "node/driver switching", spec.switched_capacitance * spec.vdd**2
+        )
+    return ledger
+
+
+def hold_power_ledger(technology: Technology) -> PowerLedger:
+    """Static power of one bitcell holding a bit."""
+    ledger = PowerLedger(technology.wall_plug_efficiency)
+    ledger.add_optical("hold bias laser", technology.psram.bias_power)
+    ledger.add_electrical("driver leakage", technology.psram.hold_electrical_power)
+    return ledger
 
 
 class PsramArray:
@@ -266,6 +283,13 @@ class PsramArray:
     The bit-level physics is validated by :class:`PsramBitcell`; the
     array tracks stored bits, write scheduling at the 20 GHz update
     rate, and aggregate energy, which is what the tensor core needs.
+
+    Bits live in one ``(words, bits_per_word)`` array, MSB first, so a
+    full-array write counts its flipped cells as one vectorised
+    XOR-popcount.  The energy ledger prices each flip at the
+    per-switch energy of :func:`switching_energy_ledger` (the pSRAM
+    bitcell paper's per-flipped-cell write cost), derived once per
+    spec value instead of from a throwaway bitcell per call.
     """
 
     def __init__(
@@ -279,25 +303,40 @@ class PsramArray:
         self.technology = technology if technology is not None else default_technology()
         self.words = words
         self.bits_per_word = bits_per_word
-        self._bits = [[0] * bits_per_word for _ in range(words)]
+        self._bits = np.zeros((words, bits_per_word), dtype=np.uint8)
+        self._shifts = np.arange(bits_per_word - 1, -1, -1)
         self._write_events = 0
         self._switch_events = 0
+        self._per_switch_key: tuple | None = None
+        self._per_switch = 0.0
 
     @property
     def cell_count(self) -> int:
         return self.words * self.bits_per_word
 
+    @property
+    def bit_matrix(self) -> np.ndarray:
+        """Stored bits, shape (words, bits_per_word), MSB first (copy)."""
+        return self._bits.copy()
+
     def word(self, index: int) -> int:
         """Stored unsigned integer value of word ``index``."""
-        bits = self._bits[index]
         value = 0
-        for bit in bits:
+        for bit in self._bits[index].tolist():
             value = (value << 1) | bit
         return value
 
     def word_bits(self, index: int) -> tuple[int, ...]:
         """Stored bits of a word, MSB first."""
-        return tuple(self._bits[index])
+        return tuple(self._bits[index].tolist())
+
+    def _store(self, rows, new_bits: np.ndarray) -> int:
+        """Write ``new_bits`` into ``rows``; returns the flipped cells."""
+        flips = int(np.count_nonzero(self._bits[rows] ^ new_bits))
+        self._bits[rows] = new_bits
+        self._write_events += new_bits.size
+        self._switch_events += flips
+        return flips
 
     def write_word(self, index: int, value: int) -> int:
         """Store ``value``; returns the number of bitcells that flipped."""
@@ -305,23 +344,29 @@ class PsramArray:
             raise ConfigurationError(
                 f"value {value} does not fit in {self.bits_per_word} bits"
             )
-        new_bits = [
-            (value >> shift) & 1 for shift in range(self.bits_per_word - 1, -1, -1)
-        ]
-        flips = sum(
-            1 for old, new in zip(self._bits[index], new_bits) if old != new
+        new_bits = np.array(
+            [(value >> shift) & 1 for shift in range(self.bits_per_word - 1, -1, -1)],
+            dtype=np.uint8,
         )
-        self._bits[index] = new_bits
-        self._write_events += self.bits_per_word
-        self._switch_events += flips
-        return flips
+        return self._store(index, new_bits)
 
     def write_all(self, values) -> int:
         """Store one value per word; returns total flipped bitcells."""
-        values = list(values)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
         if len(values) != self.words:
             raise ConfigurationError(f"need {self.words} values, got {len(values)}")
-        return sum(self.write_word(index, value) for index, value in enumerate(values))
+        array = np.asarray(values)
+        if (
+            array.dtype.kind not in "iu"
+            or array.min() < 0
+            or array.max() >= 2**self.bits_per_word
+        ):
+            # Word by word: raises on the first value that does not fit,
+            # after storing the words before it.
+            return sum(self.write_word(index, value) for index, value in enumerate(values))
+        new_bits = ((array[:, np.newaxis] >> self._shifts) & 1).astype(np.uint8)
+        return self._store(slice(None), new_bits)
 
     def update_time(self) -> float:
         """Time [s] to rewrite the full array, one bit per cell cycle.
@@ -332,16 +377,24 @@ class PsramArray:
         """
         return self.words / self.technology.psram.update_rate
 
+    @property
+    def switch_energy(self) -> float:
+        """Wall-plug energy [J] of one bitcell switch (0.5 pJ),
+        re-derived only when the pSRAM spec value changes."""
+        technology = self.technology
+        key = (tuple(vars(technology.psram).values()), technology.wall_plug_efficiency)
+        if key != self._per_switch_key:
+            self._per_switch = switching_energy_ledger(technology, True).total
+            self._per_switch_key = key
+        return self._per_switch
+
     def write_energy(self) -> float:
         """Wall-plug energy [J] of all switch events so far (0.5 pJ each)."""
-        template = PsramBitcell(self.technology)
-        per_switch = template.switching_energy_ledger(state_flipped=True).total
-        return self._switch_events * per_switch
+        return self._switch_events * self.switch_energy
 
     def hold_power(self) -> float:
         """Static hold power [W] of the whole array."""
-        template = PsramBitcell(self.technology)
-        return template.hold_power_ledger().total * self.cell_count
+        return hold_power_ledger(self.technology).total * self.cell_count
 
     @property
     def switch_events(self) -> int:

@@ -82,12 +82,16 @@ class PhotonicTensorCore:
         self._tia_gain = (
             self.row_adcs[0].spec.full_scale_voltage / self._full_scale_current
         )
-        #: Cross-compiler memo of bisected ADC code ladders (see
+        #: Cross-compiler memo of ADC code ladders (see
         #: :func:`repro.runtime.engine._row_ladders`): every runtime
         #: engine derived from this core — compiled programs, tiled
         #: grids, the dense/conv layer fast paths — shares it, so each
-        #: distinct ADC trim is bisected once per core, not once per
-        #: compile.
+        #: compile looks up one ladder per distinct ADC trim.  The
+        #: bisection itself runs once per converter design per process
+        #: (the memo behind :meth:`EoAdc.code_boundaries`), and weight
+        #: loads select memoised ring transmissions (the row cores' ring
+        #: tables), so compiling on a fresh core of a known technology
+        #: evaluates no device physics.
         self.runtime_ladder_cache: list = []
         #: Live degradation state of this core (a
         #: :class:`repro.health.DriftState`, attached by
@@ -149,7 +153,10 @@ class PhotonicTensorCore:
         re-trimming during recalibration, mutating ``trim_errors`` or
         ``spec`` for a variation study — leaves engines compiling
         against stale ladders; call this first so the next compile
-        re-bisects.  Engines compiled *before* the call keep their
+        re-bisects (each row ADC also drops its current state's entry
+        from the process-wide ladder memo, so even an unchanged
+        converter is bisected afresh).  Engines compiled *before* the
+        call keep their
         detached snapshots: recompile them (the serving caches do this
         lazily after :meth:`repro.api.PhotonicSession.recalibrate`).
         """

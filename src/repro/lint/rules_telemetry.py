@@ -305,6 +305,10 @@ INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     "weight_scale": ("invalidate_runtime",),
     # The cross-compiler ladder memo itself.
     "runtime_ladder_cache": ("invalidate_ladders",),
+    # Weight-ring on/off tables and the technology/ring-state key they
+    # were built for: every transmission cache is selected from them.
+    "_ring_tables": ("invalidate_ring_tables",),
+    "_ring_key": ("invalidate_ring_tables",),
 }
 
 
@@ -317,7 +321,8 @@ class MutateMustInvalidate(Rule):
     contract = (
         "a method assigning a registered compiled-state attribute "
         "(trim_errors, spec, q_positive/q_negative/float_weights/"
-        "weight_scale, runtime_ladder_cache) on a class that defines "
+        "weight_scale, runtime_ladder_cache, _ring_tables/_ring_key) on "
+        "a class that defines "
         "the matching invalidate_* hook must call that hook"
     )
     rationale = (

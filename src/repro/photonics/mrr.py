@@ -142,6 +142,20 @@ class _RingBase:
             + self.trim_error
         )
 
+    def physical_state(self) -> tuple:
+        """The per-device state a transfer evaluation reads besides the
+        specs fixed at construction: design point, length adjustment,
+        trim residual, temperature and heater offsets.  Physics memos
+        key ring evaluations on it (with the technology's value)."""
+        return (
+            self.design_wavelength,
+            self.design_voltage,
+            self.length_adjust,
+            self.trim_error,
+            self.delta_temperature,
+            self.heater_shift,
+        )
+
     def round_trip_phase(self, wavelength, voltage: float | None = None):
         """Round-trip phase offset from resonance [rad] (vectorized)."""
         lam = np.asarray(wavelength, dtype=float)

@@ -16,9 +16,14 @@ static functions of the input:
 
 :class:`CompiledCore` snapshots both at weight-load time and replays
 them vectorized, matching the device loop code-for-code.  Compilation
-costs one ladder bisection per distinct ADC trim (cached on the ADC)
-plus a cheap response-matrix rebuild per weight program, so schedulers
-can recompile on every cache miss.
+evaluates no device physics once a design has been seen in the
+process: the weight load selects each ring's memoised on/off
+transmission row (the
+:class:`~repro.core.compute_core.VectorComputeCore` ring tables), and
+every converter of an already-bisected design reuses its ladder from
+the process-wide memo behind :meth:`EoAdc.code_boundaries`.  What
+remains per weight program is the response-matrix rebuild, so
+schedulers can recompile on every cache miss.
 """
 
 from __future__ import annotations
@@ -64,11 +69,14 @@ class BatchResult:
 
 
 def _row_ladders(core: PhotonicTensorCore, ladder_cache: list | None) -> np.ndarray:
-    """Per-row ADC code ladders, sharing bisection work between ADCs
-    with identical trim/spec (the common case: one seeded trim draw per
-    technology).  ``ladder_cache`` is an optional cross-core memo of
-    ``[technology, spec, trim_errors, ladder]`` rows that tiled grids
-    pass so every tile of the same technology compiles one ladder."""
+    """Per-row ADC code ladders, sharing lookups between ADCs with
+    identical trim/spec (the common case: one seeded trim draw per
+    technology).  ``ladder_cache`` is an optional cross-compiler memo of
+    ``[technology, spec, trim_errors, ladder]`` rows that a core's
+    compiles and tiled grids share, so a grid asks one converter per
+    distinct trim; that converter's :meth:`EoAdc.code_boundaries` in
+    turn bisects only if no converter of the same design in the process
+    has."""
     ladders = []
     local: list = [] if ladder_cache is None else ladder_cache
     for adc in core.row_adcs:

@@ -216,7 +216,19 @@ class TiledMatmul:
         # them; a private list still shares it across this grid's tiles.
         if ladder_cache is None:
             ladder_cache = []
-        cleared = np.zeros((self.tile_rows, self.tile_columns), dtype=int)
+        # Every tile of a real grid is its own core loading its block
+        # into cleared pSRAM arrays, so each block's load energy is the
+        # energy delta of clearing a probe and then loading the block —
+        # not a delta from the previous block's residue, which would
+        # make the grid energy depend on tile iteration order.  That
+        # sequence's switch counts are popcounts (clearing flips the
+        # previous block's set bits, loading flips the block's), so the
+        # probe ledger is replayed from per-row counts with its float
+        # operations, and the probe loads only the blocks.
+        per_switch = probe.row_cores[0].weight_memory.switch_energy
+        shifts = np.arange(self.weight_bits)
+        switches = [0] * self.tile_rows
+        previous = [0] * self.tile_rows
         load_energy = 0.0
         for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in (
             iter_tile_blocks(self.out_features, self.in_features,
@@ -236,17 +248,15 @@ class TiledMatmul:
                 raise MappingError(f"gain must be a number or 'auto', got {gain!r}")
             self.gains[row_tile, col_tile] = tile_gain
 
+            ones = ((block[:, :, np.newaxis] >> shifts) & 1).sum(axis=(1, 2)).tolist()
+            switches = [count + flips for count, flips in zip(switches, previous)]
+            energy_before = sum(count * per_switch for count in switches)
+            switches = [count + flips for count, flips in zip(switches, ones)]
+            load_energy += sum(count * per_switch for count in switches) - energy_before
+            previous = ones
             # Reuse one physical-core template per tile slot; each
-            # compile() snapshot is detached from the template.  Every
-            # tile of a real grid is its own core loading its block
-            # into cleared pSRAM arrays, so each block's load energy is
-            # the delta from a cleared probe — not from the previous
-            # block's residue, which would make the grid energy depend
-            # on tile iteration order.
-            probe.load_weight_matrix(cleared)
-            energy_before = probe.weight_update_energy()
+            # compile() snapshot is detached from the template.
             probe.load_weight_matrix(block)
-            load_energy += probe.weight_update_energy() - energy_before
             self.tiles[row_tile].append(CompiledCore(probe, ladder_cache=ladder_cache))
         self.weight_update_energy = load_energy
         self.weight_update_time = self.column_tiles * probe.weight_update_time()

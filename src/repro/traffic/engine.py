@@ -233,13 +233,26 @@ class TrafficEngine:
         """Replay ``requests`` arrivals through the target and return
         the run summary (see the module docstring for the timeline
         semantics).  Runs are reproducible: all randomness derives from
-        ``seed``, and nothing reads the host clock."""
+        ``seed``, and nothing reads the host clock.
+
+        The tape starts at the target's current modelled time, so a
+        second run on the same target continues its timeline instead of
+        rewinding behind its service clocks; the summary's makespan and
+        offered rate are measured from that start."""
         if not isinstance(requests, (int, np.integer)) or requests < 1:
             raise ConfigurationError(
                 f"a traffic run needs requests >= 1, got {requests!r}"
             )
         rng = np.random.default_rng(self.seed)
         times = self.arrivals.times(int(requests), rng)
+        # The tape starts at the target's current modelled time: a
+        # reused target's service clocks already stand at the previous
+        # run's end, and replaying from 0 would rewind the arrival
+        # clock behind them, making queued requests look late.  A fresh
+        # target sits at 0 and replays its tape unshifted.
+        start = max(self.clock.now, *(service.now for service in self._service_clocks))
+        if start > 0.0:
+            times = times + start
         tenant_index = self.workload.sample(int(requests), rng)
         weights = self.workload.materialize(rng)
         pool = self.workload.input_pool(rng, input_pool)
@@ -303,7 +316,7 @@ class TrafficEngine:
         # delay/deadline triggers would bill the trailing partial batch
         # with policy wait the run is no longer offering traffic for,
         # inflating every makespan by up to one delay_limit.
-        last_arrival = float(times[-1]) if len(times) else 0.0
+        last_arrival = float(times[-1]) if len(times) else start
         target.flush()
         self._refresh_membership()
         if target.pending != 0:
@@ -315,12 +328,14 @@ class TrafficEngine:
         requests_after, misses_after = self._report_totals()
         deadline_misses = misses_after - misses_before
         resolved = admitted - deadline_misses
-        makespan = max(
+        end = max(
             (service.now for service in self._service_clocks),
             default=last_arrival,
         )
-        makespan = max(makespan, last_arrival)
-        offered_rate = requests / last_arrival if last_arrival > 0 else 0.0
+        end = max(end, last_arrival)
+        makespan = end - start
+        span = last_arrival - start
+        offered_rate = requests / span if span > 0 else 0.0
         quantiles = self._latency_quantiles()
         p99 = None
         p50 = None
@@ -354,7 +369,7 @@ class TrafficEngine:
             summary["slo_met"] = self.slo.met(p99, miss_rate)
         if obs is not None:
             obs.note_event(
-                makespan,
+                end,
                 "traffic_run_finished",
                 {
                     "admitted": admitted,

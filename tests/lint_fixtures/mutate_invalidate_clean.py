@@ -43,6 +43,21 @@ class DenseLayer:
         self.invalidate_runtime()
 
 
+class RingCore:
+    def __init__(self):
+        self._ring_tables = None
+        self._ring_key = None
+
+    def invalidate_ring_tables(self):
+        self._ring_tables = None
+        self._ring_key = None
+
+    def rebuild(self, key, tables):
+        self.invalidate_ring_tables()
+        self._ring_tables = tables
+        self._ring_key = key
+
+
 class NoHooksNoContract:
     """A class without invalidate_* hooks is out of contract scope."""
 

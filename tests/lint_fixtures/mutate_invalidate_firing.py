@@ -1,4 +1,4 @@
-"""Fixture: compiled-state mutations that skip the hook (3 findings)."""
+"""Fixture: compiled-state mutations that skip the hook (4 findings)."""
 
 import numpy as np
 
@@ -28,3 +28,14 @@ class DenseLayer:
 
     def set_weights(self, weights):
         self.q_positive = np.asarray(weights)  # firing: engine stays stale
+
+
+class RingCore:
+    def __init__(self):
+        self._ring_tables = None
+
+    def invalidate_ring_tables(self):
+        self._ring_tables = None
+
+    def retune(self, tables):
+        self._ring_tables = tables  # firing: transmission caches go stale

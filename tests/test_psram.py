@@ -1,5 +1,6 @@
 """Unit and transient tests for the pSRAM bitcell/array (Fig. 5)."""
 
+import numpy as np
 import pytest
 
 from repro.core.psram import PsramArray, PsramBitcell
@@ -102,6 +103,26 @@ class TestPsramArray:
         assert flips == 12  # every bit 0 -> 1... 3 bits x 4 words
         flips = array.write_all([7, 7, 7, 7])
         assert flips == 0  # rewriting the same data flips nothing
+
+    def test_write_all_matches_word_by_word_ledger(self, tech):
+        """The vectorised popcount write flips, stores and prices
+        exactly what word-by-word writes and a bitcell's ledger do."""
+        rng = np.random.default_rng(3)
+        whole, by_word = PsramArray(9, 4, tech), PsramArray(9, 4, tech)
+        for _ in range(5):
+            values = rng.integers(0, 16, 9)
+            flips = whole.write_all(values)
+            assert flips == sum(by_word.write_word(i, int(v)) for i, v in enumerate(values))
+            assert [whole.word(i) for i in range(9)] == values.tolist()
+        assert whole.switch_events == by_word.switch_events
+        per_switch = PsramBitcell(tech).switching_energy_ledger(state_flipped=True).total
+        assert whole.write_energy() == whole.switch_events * per_switch
+
+    def test_write_all_stops_at_the_first_oversized_value(self, tech):
+        array = PsramArray(3, 2, tech)
+        with pytest.raises(ConfigurationError):
+            array.write_all([3, 4, 1])
+        assert [array.word(i) for i in range(3)] == [3, 0, 0]
 
     def test_write_energy_per_switch(self, tech):
         array = PsramArray(2, 3, tech)

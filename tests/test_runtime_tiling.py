@@ -101,6 +101,27 @@ def test_weight_update_energy_is_order_invariant(tech):
     assert ragged.weight_update_energy == pytest.approx(total_bits * per_switch)
 
 
+def test_grid_energy_replays_the_clear_then_load_probe_ledger(tech):
+    """The popcount replay is bitwise the ledger of a probe that loads
+    a cleared matrix and then the block before every tile."""
+    rng = np.random.default_rng(11)
+    weights = rng.integers(0, 8, (11, 7))
+    grid = TiledMatmul(weights, tile_rows=4, tile_columns=3, technology=tech)
+    probe = PhotonicTensorCore(rows=4, columns=3, technology=tech)
+    cleared = np.zeros((4, 3), dtype=int)
+    expected = 0.0
+    for row in range(0, 11, 4):
+        for col in range(0, 7, 3):
+            block = np.zeros((4, 3), dtype=int)
+            part = weights[row : row + 4, col : col + 3]
+            block[: part.shape[0], : part.shape[1]] = part
+            probe.load_weight_matrix(cleared)
+            before = probe.weight_update_energy()
+            probe.load_weight_matrix(block)
+            expected += probe.weight_update_energy() - before
+    assert grid.weight_update_energy == expected
+
+
 def test_matvec_and_batch_shapes(tech):
     rng = np.random.default_rng(2)
     weights = rng.integers(0, 8, (10, 6))
