@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import Technology, default_technology
-from ..core.quantization import quantize_weights_differential
+from ..core.quantization import integral_weights, quantize_weights_differential
 from ..elastic import ProgramStore, core_fingerprint
 from ..errors import ConfigurationError, DeadlineExceededError
 from ..health.drift import DriftModel, DriftState
@@ -548,7 +548,7 @@ class PhotonicSession:
         the miss counts on :attr:`RunReport.deadline_misses`.
         ``tenant`` labels the request for per-tenant telemetry.
         """
-        weights = np.asarray(weights, dtype=int)
+        weights = integral_weights(weights)
         if weights.ndim != 2:
             raise ConfigurationError(
                 f"weight matrix must be 2-D, got shape {weights.shape}"
@@ -945,7 +945,7 @@ class PhotonicSession:
 
         The re-trim re-bisects every row ADC's code ladder
         (:meth:`~repro.core.eoadc.EoAdc.code_boundaries` probes charged
-        to the calibration ledger, the shared
+        to the calibration ledger, the core's cached ladder stack and
         ``runtime_ladder_cache`` dropped via
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.
         invalidate_ladders`) and programs the measured drift into the
@@ -1262,7 +1262,6 @@ class PhotonicSession:
                             weight_bits=self.core.weight_bits,
                             adc_bits=self.core.row_adcs[0].bits,
                             technology=self.technology,
-                            ladder_cache=self.core.runtime_ladder_cache,
                             drift_state=self.core.drift_state,
                         )
                     self._tiled_energy_spent += engine.weight_update_energy

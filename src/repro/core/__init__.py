@@ -24,6 +24,7 @@ from .quantization import (
     decode_output,
     dequantize_weights,
     encode_inputs,
+    integral_weights,
     quantize_weights,
     signed_matmul_correction,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "dequantize_weights",
     "encode_inputs",
     "EoAdc",
+    "integral_weights",
     "OneBitPhotonicMultiplier",
     "PerformanceModel",
     "PhotonicTensorCore",

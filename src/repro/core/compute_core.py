@@ -24,7 +24,10 @@ and stored bit (pSRAM drive 0 or VDD), so each ring's thru
 transmission at every channel wavelength takes one of two values.
 Those on/off rows are evaluated once per distinct ring physical state
 and kept in a bounded process-wide memo; a weight load is then a
-vectorised select-and-multiply over the core's ring tables.
+vectorised select-and-multiply over the core's ring tables
+(:func:`bus_products`), and it latches only the pSRAM bits and that
+transmission cache.  The ring device objects follow lazily: each ring's
+drive is set from its stored bit when the rings are next read.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from ..photonics.laser import FrequencyComb
 from ..photonics.photodiode import Photodiode
 from ..photonics.wdm import ChannelPlan
 from .multiplier import OneBitPhotonicMultiplier
-from .psram import PsramArray
+from .psram import PsramArray, word_bits
+from .quantization import integral_weights
 
 #: Bound on :data:`_RING_TABLE_MEMO` entries (least recently used
 #: evicted).  One entry is a (2, channels) array; a core at nominal
@@ -75,17 +79,70 @@ def _on_off_rows(key: tuple, ring, wavelengths: np.ndarray, vdd: float) -> np.nd
     return rows
 
 
+def bus_products(tables: np.ndarray, bits: np.ndarray, macro_count: int) -> np.ndarray:
+    """Per-(macro, plane, channel) bus transmissions with crosstalk.
+
+    ``tables`` holds ring on/off rows ``(..., elements, planes, 2,
+    channels)`` and ``bits`` the stored bits ``(..., elements, planes)``;
+    leading axes batch independent cores (the rows of a tensor core).
+    Entry ``[..., g, j, c]`` is the product of every ring transfer on
+    macro g's plane-j bus at channel c's wavelength.  The product runs
+    over macro g's elements in ascending order, the multiply order of a
+    per-ring loop, so each core's slice is bitwise that loop's.
+    """
+    per_macro = tables.shape[-1]
+    elements, planes = bits.shape[-2:]
+    rings = np.where(
+        bits[..., np.newaxis].astype(bool), tables[..., 1, :], tables[..., 0, :]
+    )
+    batch = bits.shape[:-2]
+    padded = np.ones(batch + (macro_count * per_macro, planes, per_macro), dtype=float)
+    padded[..., :elements, :, :] = rings
+    padded = padded.reshape(batch + (macro_count, per_macro, planes, per_macro))
+    cache = padded[..., 0, :, :].copy()
+    for position in range(1, per_macro):
+        cache *= padded[..., position, :, :]
+    return cache
+
+
+def stacked_element_responses(cores) -> np.ndarray:
+    """:meth:`VectorComputeCore.element_responses` of equal-length
+    cores, stacked ``(len(cores), vector_length)``.
+
+    Each coefficient is ``responsivity * channel_power`` times one 1-D
+    dot of the core's splitter fractions with a strided cache column
+    ``[macro, :, channel]``.  The stack of ``(1, planes) @ (planes, 1)``
+    products below hands numpy's 1-D dot exactly those operands and
+    strides, so every entry is bitwise a per-element ``fractions @
+    cache[macro, :, channel]`` loop; a batched or contiguous dot may sum
+    in another order.
+    """
+    caches = np.stack([core._transmission_cache for core in cores])
+    fractions = np.array([core.splitter_tree.branch_fractions() for core in cores])
+    scales = np.array(
+        [
+            core.photodiode.spec.responsivity * core.technology.compute.channel_power
+            for core in cores
+        ]
+    )
+    columns = caches.swapaxes(2, 3)[..., np.newaxis]
+    dots = fractions[:, np.newaxis, np.newaxis, np.newaxis, :] @ columns
+    elements = cores[0].vector_length
+    return scales[:, np.newaxis] * dots.reshape(len(cores), -1)[:, :elements]
+
+
 class VectorComputeCore:
     """A 1 x m, n-bit photonic vector-multiplication engine.
 
-    ``multipliers[element][plane]`` holds one ring per input element
-    per bit plane.  The core keeps per-ring on/off thru-transmission
-    tables of shape ``(elements, planes, 2, channels)``, filled from the
-    process-wide ring-state memo and revalidated against every ring's
-    live state on each :meth:`load_weights` (rings may be retuned from
-    outside, e.g. thermal drift and heater lock), so a load builds the
-    transmission cache without evaluating a ring unless its state is
-    new to the process.
+    :attr:`multipliers` ``[element][plane]`` holds one ring per input
+    element per bit plane.  The core keeps per-ring on/off
+    thru-transmission tables of shape ``(elements, planes, 2,
+    channels)``, filled from the process-wide ring-state memo, so a load
+    builds the transmission cache without evaluating a ring unless its
+    state is new to the process.  Once the rings have been handed out
+    (they may be retuned from outside, e.g. thermal drift and heater
+    lock), every :meth:`load_weights` revalidates the tables against the
+    rings' live states.
     """
 
     def __init__(
@@ -127,7 +184,7 @@ class VectorComputeCore:
 
         # multipliers[element][plane] — one ring per input element per
         # bit plane; the element's macro determines its channel index.
-        self.multipliers: list[list[OneBitPhotonicMultiplier]] = []
+        self._multipliers: list[list[OneBitPhotonicMultiplier]] = []
         for element in range(vector_length):
             channel = element % channels
             planes = [
@@ -138,13 +195,19 @@ class VectorComputeCore:
                 )
                 for plane in range(self.weight_bits)
             ]
-            self.multipliers.append(planes)
-        self._flat_multipliers = [m for planes in self.multipliers for m in planes]
+            self._multipliers.append(planes)
+        self._flat_multipliers = [m for planes in self._multipliers for m in planes]
 
         #: (elements, planes, 2, channels) off/on ring transmissions and
         #: the technology fingerprint + ring states they were built for.
         self._ring_tables: np.ndarray | None = None
         self._ring_key: tuple | None = None
+        #: Whether the rings have been handed out (see multipliers).
+        self._rings_exposed = False
+        #: pSRAM write count the ring drives were last set at (None =
+        #: never); a read of multipliers re-drives the rings when the
+        #: array has been written since.
+        self._drives_at: int | None = None
         self._weights = np.zeros(vector_length, dtype=int)
         self._transmission_cache: np.ndarray | None = None
         self.load_weights(self._weights)
@@ -159,9 +222,39 @@ class VectorComputeCore:
     def max_weight(self) -> int:
         return 2**self.weight_bits - 1
 
+    @property
+    def multipliers(self) -> list[list[OneBitPhotonicMultiplier]]:
+        """The ring device objects, ``[element][plane]``.
+
+        Loads latch only the pSRAM bits and the transmission cache; the
+        first read after a write sets every ring's drive to ``vdd *
+        bit`` of the stored bit matrix, so the device view is exact for
+        every reader.  Handing the rings out also lets callers retune
+        them, so from the first read on every load revalidates the ring
+        tables against the rings' live states.
+        """
+        if not self._rings_exposed:
+            self.invalidate_ring_tables()
+            self._rings_exposed = True
+        writes = self.weight_memory.write_events
+        if self._drives_at != writes:
+            self.invalidate_drives()
+            bits = self.weight_memory.bit_matrix.ravel().tolist()
+            for multiplier, bit in zip(self._flat_multipliers, bits):
+                multiplier.bit = bit
+            self._drives_at = writes
+        return self._multipliers
+
+    def invalidate_drives(self) -> None:
+        """Forget which pSRAM write the ring drives follow, so the next
+        read of :attr:`multipliers` re-drives every ring from its
+        stored bit (e.g. after setting a multiplier's bit by hand)."""
+        self._drives_at = None
+
     def load_weights(self, weights) -> None:
-        """Write a weight vector into the pSRAM planes and ring drives."""
-        weights = np.asarray(weights, dtype=int)
+        """Write a weight vector into the pSRAM planes (the ring drives
+        follow on the next read of :attr:`multipliers`)."""
+        weights = integral_weights(weights)
         if weights.shape != (self.vector_length,):
             raise ConfigurationError(
                 f"need {self.vector_length} weights, got shape {weights.shape}"
@@ -170,19 +263,38 @@ class VectorComputeCore:
             raise ConfigurationError(
                 f"weights must lie in [0, {self.max_weight}] for {self.weight_bits} bits"
             )
-        self.weight_memory.write_all(weights)
-        bits = self.weight_memory.bit_matrix
-        for multiplier, bit in zip(self._flat_multipliers, bits.ravel().tolist()):
-            multiplier.bit = bit
+        bits = word_bits(weights, self.weight_bits)
+        cache = bus_products(self._current_ring_tables(), bits, self.macro_count)
+        self._latch(weights, bits, cache)
+
+    def _latch(self, weights: np.ndarray, bits: np.ndarray, cache: np.ndarray) -> None:
+        """Store validated words: their pSRAM bits ``(elements,
+        planes)``, the words themselves and the bus transmissions
+        :func:`bus_products` selected for them from this core's ring
+        tables.  :meth:`load_weights` and the tensor core's one-pass
+        matrix load both end here."""
+        self.weight_memory.write_bits(bits)
         self._weights = weights
-        self._transmission_cache = self._bus_product(bits)
+        self._transmission_cache = cache
 
     # -- ring tables ------------------------------------------------------------
-    def _current_ring_tables(self) -> np.ndarray:
+    def _current_ring_tables(self, fingerprint: tuple | None = None) -> np.ndarray:
         """The per-ring on/off tables, rebuilt if the technology value
-        or any ring's physical state changed since they were built."""
+        (``fingerprint``, read here when not given) or any ring's
+        physical state changed since they were built.  Ring states are
+        read only once the rings have been handed out: until then
+        nothing can have retuned them."""
+        if fingerprint is None:
+            fingerprint = self.technology.fingerprint()
+        if (
+            self._ring_tables is not None
+            and not self._rings_exposed
+            and self._ring_key is not None
+            and self._ring_key[0] == fingerprint
+        ):
+            return self._ring_tables
         states = [m.ring.physical_state() for m in self._flat_multipliers]
-        key = (self.technology.fingerprint(), states)
+        key = (fingerprint, states)
         if self._ring_tables is not None and key == self._ring_key:
             return self._ring_tables
         self.invalidate_ring_tables()
@@ -209,31 +321,6 @@ class VectorComputeCore:
         itself goes through."""
         self._ring_tables = None
         self._ring_key = None
-
-    def _bus_product(self, bits: np.ndarray) -> np.ndarray:
-        """Per-(macro, plane, channel) bus transmission with crosstalk.
-
-        Entry [g, j, c] is the product of every ring transfer on macro
-        g's plane-j bus, evaluated at channel c's wavelength.  ``bits``
-        (elements, planes) selects each ring's on or off row; the
-        product runs over macro g's elements in ascending order, the
-        multiply order of a per-ring loop, so the cache is bitwise that
-        loop's.
-        """
-        tables = self._current_ring_tables()
-        rings = np.where(
-            bits[:, :, np.newaxis].astype(bool), tables[:, :, 1], tables[:, :, 0]
-        )
-        per_macro = self.channels_per_macro
-        padded = np.ones(
-            (self.macro_count * per_macro, self.weight_bits, per_macro), dtype=float
-        )
-        padded[: self.vector_length] = rings
-        padded = padded.reshape(self.macro_count, per_macro, self.weight_bits, per_macro)
-        cache = padded[:, 0].copy()
-        for position in range(1, per_macro):
-            cache *= padded[:, position]
-        return cache
 
     # -- evaluation ---------------------------------------------------------------
     def _validated_inputs(self, inputs) -> np.ndarray:
@@ -279,19 +366,7 @@ class VectorComputeCore:
         a dense matrix row; it is rebuilt implicitly on every
         :meth:`load_weights` via the transmission cache.
         """
-        fractions = np.asarray(self.splitter_tree.branch_fractions())
-        power_per_channel = self.technology.compute.channel_power
-        responsivity = self.photodiode.spec.responsivity
-        responses = np.empty(self.vector_length)
-        for element in range(self.vector_length):
-            macro = element // self.channels_per_macro
-            channel = element % self.channels_per_macro
-            responses[element] = (
-                responsivity
-                * power_per_channel
-                * float(fractions @ self._transmission_cache[macro, :, channel])
-            )
-        return responses
+        return stacked_element_responses([self])[0]
 
     def compute_per_channel(self, inputs) -> float:
         """The paper's PDK workaround: one wavelength at a time, all
@@ -316,8 +391,10 @@ class VectorComputeCore:
         drive) so this calibration probe does not spend pSRAM write
         energy.
         """
-        cache = self._bus_product(
-            np.ones((self.vector_length, self.weight_bits), dtype=np.uint8)
+        cache = bus_products(
+            self._current_ring_tables(),
+            np.ones((self.vector_length, self.weight_bits), dtype=np.uint8),
+            self.macro_count,
         )
         fractions = np.asarray(self.splitter_tree.branch_fractions())
         power_per_channel = self.technology.compute.channel_power

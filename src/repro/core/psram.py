@@ -277,6 +277,14 @@ def hold_power_ledger(technology: Technology) -> PowerLedger:
     return ledger
 
 
+def word_bits(values, bits_per_word: int) -> np.ndarray:
+    """Bits of non-negative integer words, MSB first: shape
+    ``values.shape + (bits_per_word,)``, dtype uint8.  The caller has
+    checked that every value fits."""
+    shifts = np.arange(bits_per_word - 1, -1, -1)
+    return ((np.asarray(values)[..., np.newaxis] >> shifts) & 1).astype(np.uint8)
+
+
 class PsramArray:
     """A behavioural array of pSRAM bitcells storing multi-bit weights.
 
@@ -304,7 +312,6 @@ class PsramArray:
         self.words = words
         self.bits_per_word = bits_per_word
         self._bits = np.zeros((words, bits_per_word), dtype=np.uint8)
-        self._shifts = np.arange(bits_per_word - 1, -1, -1)
         self._write_events = 0
         self._switch_events = 0
         self._per_switch_key: tuple | None = None
@@ -365,8 +372,13 @@ class PsramArray:
             # Word by word: raises on the first value that does not fit,
             # after storing the words before it.
             return sum(self.write_word(index, value) for index, value in enumerate(values))
-        new_bits = ((array[:, np.newaxis] >> self._shifts) & 1).astype(np.uint8)
-        return self._store(slice(None), new_bits)
+        return self.write_bits(word_bits(array, self.bits_per_word))
+
+    def write_bits(self, bits: np.ndarray) -> int:
+        """Store a whole ``(words, bits_per_word)`` bit matrix, MSB
+        first, that the caller has built from validated words (see
+        :func:`word_bits`); returns the flipped bitcells."""
+        return self._store(slice(None), bits)
 
     def update_time(self) -> float:
         """Time [s] to rewrite the full array, one bit per cell cycle.
@@ -399,6 +411,12 @@ class PsramArray:
     @property
     def switch_events(self) -> int:
         return self._switch_events
+
+    @property
+    def write_events(self) -> int:
+        """Bitcell writes so far, flipped or not.  It grows with every
+        write, so it also stamps which write a reader last saw."""
+        return self._write_events
 
     def check_retention(self) -> bool:
         """Spot-check that a representative bitcell holds both states."""

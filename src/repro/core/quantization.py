@@ -15,6 +15,31 @@ import numpy as np
 from ..errors import ConfigurationError
 
 
+def integral_weights(weights, error: type[Exception] = ConfigurationError) -> np.ndarray:
+    """``weights`` as an integer array, refusing values a cast would change.
+
+    Integer and boolean input converts as-is, with no per-element check.
+    Any other input must hold only finite, integral values; otherwise
+    ``error`` is raised, since a plain ``astype(int)`` would truncate
+    2.7 to 2 and serve a program nobody asked for.  Every weight entry
+    point (session and scheduler submits, tensor-core loads, tiled
+    grids) converts through here.
+    """
+    array = np.asarray(weights)
+    if array.dtype.kind not in "biu":
+        values = np.asarray(array, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise error("weights must be finite integers, got a non-finite value")
+        fractional = values != np.trunc(values)
+        if np.any(fractional):
+            raise error(
+                "weights must be integers, got non-integral values such as "
+                f"{values[fractional].flat[0]:.6g}"
+            )
+        array = values
+    return np.asarray(array, dtype=int)
+
+
 def quantize_weights(weights, bits: int, signed: bool = False):
     """Quantize float weights to unsigned ``bits``-bit integers.
 

@@ -22,9 +22,11 @@ import numpy as np
 from ..config import Technology, default_technology
 from ..errors import ConfigurationError
 from ..health.drift import apply_read_out
-from .compute_core import VectorComputeCore
+from .compute_core import VectorComputeCore, bus_products
 from .eoadc import EoAdc
 from .performance import PerformanceModel
+from .psram import word_bits
+from .quantization import integral_weights
 
 
 @dataclass
@@ -82,17 +84,20 @@ class PhotonicTensorCore:
         self._tia_gain = (
             self.row_adcs[0].spec.full_scale_voltage / self._full_scale_current
         )
-        #: Cross-compiler memo of ADC code ladders (see
-        #: :func:`repro.runtime.engine._row_ladders`): every runtime
-        #: engine derived from this core — compiled programs, tiled
-        #: grids, the dense/conv layer fast paths — shares it, so each
-        #: compile looks up one ladder per distinct ADC trim.  The
-        #: bisection itself runs once per converter design per process
-        #: (the memo behind :meth:`EoAdc.code_boundaries`), and weight
-        #: loads select memoised ring transmissions (the row cores' ring
-        #: tables), so compiling on a fresh core of a known technology
-        #: evaluates no device physics.
+        #: ``[technology, spec, trim_errors, ladder]`` rows, one per
+        #: distinct ADC trim of this core: :meth:`ladder_stack` fills it
+        #: on its first call after construction or
+        #: :meth:`invalidate_ladders`.  The bisection itself runs once
+        #: per converter design per process (the memo behind
+        #: :meth:`EoAdc.code_boundaries`), and weight loads select
+        #: memoised ring transmissions (the row cores' ring tables), so
+        #: compiling on a core of a known technology evaluates no device
+        #: physics.
         self.runtime_ladder_cache: list = []
+        #: The stacked per-row ladders every compile of this core reads,
+        #: and whether all rows share one (see :meth:`ladder_stack`).
+        self._ladder_stack: np.ndarray | None = None
+        self._ladder_shared = False
         #: Live degradation state of this core (a
         #: :class:`repro.health.DriftState`, attached by
         #: :class:`~repro.api.PhotonicSession` when drift is modelled;
@@ -110,14 +115,32 @@ class PhotonicTensorCore:
         return self._weight_matrix.copy()
 
     def load_weight_matrix(self, matrix) -> None:
-        """Stream a weight matrix into the pSRAM arrays (20 GHz update)."""
-        matrix = np.asarray(matrix, dtype=int)
+        """Stream a weight matrix into the pSRAM arrays (20 GHz update).
+
+        One pass over the matrix: it is validated, bit-sliced and
+        matched to the technology value once, and every row's bus
+        transmissions come out of one vectorised select-and-multiply
+        over the row cores' ring tables.  Row cores latch only pSRAM
+        bits and transmission caches; their ring drives follow when the
+        rings are next read (:attr:`VectorComputeCore.multipliers`).
+        """
+        matrix = integral_weights(matrix)
         if matrix.shape != (self.rows, self.columns):
             raise ConfigurationError(
                 f"weight matrix must be {self.rows}x{self.columns}, got {matrix.shape}"
             )
-        for row, core in enumerate(self.row_cores):
-            core.load_weights(matrix[row])
+        if matrix.min() < 0 or matrix.max() > self.max_weight:
+            raise ConfigurationError(
+                f"weights must lie in [0, {self.max_weight}] for {self.weight_bits} bits"
+            )
+        bits = word_bits(matrix, self.weight_bits)
+        fingerprint = self.technology.fingerprint()
+        tables = np.stack(
+            [core._current_ring_tables(fingerprint) for core in self.row_cores]
+        )
+        caches = bus_products(tables, bits, self.row_cores[0].macro_count)
+        for core, weights, row_bits, cache in zip(self.row_cores, matrix, bits, caches):
+            core._latch(weights, row_bits, cache)
         self._weight_matrix = matrix
 
     def weight_update_time(self) -> float:
@@ -144,11 +167,56 @@ class PhotonicTensorCore:
         """Row photocurrent [A] with all inputs at 1, all weights max."""
         return self._full_scale_current
 
+    def ladder_stack(self) -> tuple[np.ndarray, bool]:
+        """The per-row ADC code ladders ``(rows, levels - 1)``
+        (read-only) and whether every row shares the first row's.
+
+        Cached on the core, so a compile reads them without touching a
+        converter.  The first call after construction or
+        :meth:`invalidate_ladders` asks one converter per distinct
+        trim/spec (the common case is one: a seeded trim draw per
+        technology), recording it in :attr:`runtime_ladder_cache`.
+        """
+        stack = self._ladder_stack
+        if stack is None:
+            self.invalidate_ladder_stack()
+            ladders = []
+            for adc in self.row_adcs:
+                found = None
+                for technology, spec, trim, ladder in self.runtime_ladder_cache:
+                    if (
+                        technology is adc.technology
+                        and spec == adc.spec
+                        and np.array_equal(trim, adc.trim_errors)
+                    ):
+                        found = ladder
+                        break
+                if found is None:
+                    found = adc.code_boundaries()
+                    self.runtime_ladder_cache.append(
+                        [adc.technology, adc.spec, adc.trim_errors, found]
+                    )
+                ladders.append(found)
+            stack = np.stack(ladders)
+            stack.flags.writeable = False
+            self._ladder_shared = all(
+                np.array_equal(ladder, stack[0]) for ladder in stack[1:]
+            )
+            self._ladder_stack = stack
+        return stack, self._ladder_shared
+
+    def invalidate_ladder_stack(self) -> None:
+        """Drop the stacked ladders :meth:`ladder_stack` caches, keeping
+        the ladder memos it reads (the reset its rebuild goes through;
+        :meth:`invalidate_ladders` drops those memos too)."""
+        self._ladder_stack = None
+        self._ladder_shared = False
+
     def invalidate_ladders(self) -> None:
         """Drop every cached ADC code ladder of this core.
 
-        The cross-compiler ladder memo (and each row ADC's own
-        boundary memo) assumes the converters never change after
+        The stacked ladders, the cross-compiler ladder memo and each row
+        ADC's own boundary memo assume the converters never change after
         construction.  Changing ADC parameters in place afterwards —
         re-trimming during recalibration, mutating ``trim_errors`` or
         ``spec`` for a variation study — leaves engines compiling
@@ -160,6 +228,7 @@ class PhotonicTensorCore:
         detached snapshots: recompile them (the serving caches do this
         lazily after :meth:`repro.api.PhotonicSession.recalibrate`).
         """
+        self.invalidate_ladder_stack()
         self.runtime_ladder_cache.clear()
         for adc in self.row_adcs:
             adc.invalidate_boundaries()
@@ -267,7 +336,7 @@ class PhotonicTensorCore:
         """
         from ..runtime.engine import CompiledCore
 
-        return CompiledCore(self, ladder_cache=self.runtime_ladder_cache)
+        return CompiledCore(self)
 
     # -- system analysis -----------------------------------------------------
     def performance(self) -> PerformanceModel:

@@ -305,10 +305,18 @@ INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     "weight_scale": ("invalidate_runtime",),
     # The cross-compiler ladder memo itself.
     "runtime_ladder_cache": ("invalidate_ladders",),
+    # A core's stacked per-row ladders and shared-ladder flag: every
+    # compile of the core reads them instead of its converters.
+    "_ladder_stack": ("invalidate_ladder_stack", "invalidate_ladders"),
+    "_ladder_shared": ("invalidate_ladder_stack", "invalidate_ladders"),
     # Weight-ring on/off tables and the technology/ring-state key they
     # were built for: every transmission cache is selected from them.
+    # Once the rings are handed out, loads revalidate the tables.
     "_ring_tables": ("invalidate_ring_tables",),
     "_ring_key": ("invalidate_ring_tables",),
+    "_rings_exposed": ("invalidate_ring_tables",),
+    # The pSRAM write the lazily synced ring drives follow.
+    "_drives_at": ("invalidate_drives",),
 }
 
 
@@ -321,7 +329,8 @@ class MutateMustInvalidate(Rule):
     contract = (
         "a method assigning a registered compiled-state attribute "
         "(trim_errors, spec, q_positive/q_negative/float_weights/"
-        "weight_scale, runtime_ladder_cache, _ring_tables/_ring_key) on "
+        "weight_scale, runtime_ladder_cache, _ladder_stack/_ladder_shared, "
+        "_ring_tables/_ring_key/_rings_exposed, _drives_at) on "
         "a class that defines "
         "the matching invalidate_* hook must call that hook"
     )

@@ -53,7 +53,6 @@ def compile_differential_engines(q_positive, q_negative, core: PhotonicTensorCor
         "adc_bits": core.row_adcs[0].bits,
         "technology": core.technology,
         "gain": 1.0,
-        "ladder_cache": core.runtime_ladder_cache,
         "drift_state": core.drift_state,
     }
     positive = TiledMatmul(q_positive, **tile_settings)

@@ -15,15 +15,16 @@ static functions of the input:
   conversion into ``np.searchsorted`` binning.
 
 :class:`CompiledCore` snapshots both at weight-load time and replays
-them vectorized, matching the device loop code-for-code.  Compilation
-evaluates no device physics once a design has been seen in the
-process: the weight load selects each ring's memoised on/off
-transmission row (the
-:class:`~repro.core.compute_core.VectorComputeCore` ring tables), and
-every converter of an already-bisected design reuses its ladder from
-the process-wide memo behind :meth:`EoAdc.code_boundaries`.  What
-remains per weight program is the response-matrix rebuild, so
-schedulers can recompile on every cache miss.
+them vectorized, matching the device loop code-for-code.  A compile is
+a function of the core's design and its loaded weights, and touches no
+device object: the one-pass weight load selects each ring's memoised
+on/off transmission row (the
+:class:`~repro.core.compute_core.VectorComputeCore` ring tables) and
+leaves the ring drives to follow lazily, the response matrix is one
+stacked dot over every row, and the per-row ladders come from the core's
+cached :meth:`~repro.core.tensor_core.PhotonicTensorCore.ladder_stack`
+(bisected once per converter design per process).  Schedulers can
+therefore recompile on every cache miss.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.compute_core import stacked_element_responses
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError
 from ..health.drift import Perturbation, apply_read_out
@@ -68,34 +70,6 @@ class BatchResult:
         )
 
 
-def _row_ladders(core: PhotonicTensorCore, ladder_cache: list | None) -> np.ndarray:
-    """Per-row ADC code ladders, sharing lookups between ADCs with
-    identical trim/spec (the common case: one seeded trim draw per
-    technology).  ``ladder_cache`` is an optional cross-compiler memo of
-    ``[technology, spec, trim_errors, ladder]`` rows that a core's
-    compiles and tiled grids share, so a grid asks one converter per
-    distinct trim; that converter's :meth:`EoAdc.code_boundaries` in
-    turn bisects only if no converter of the same design in the process
-    has."""
-    ladders = []
-    local: list = [] if ladder_cache is None else ladder_cache
-    for adc in core.row_adcs:
-        found = None
-        for technology, spec, trim, ladder in local:
-            if (
-                technology is adc.technology
-                and spec == adc.spec
-                and np.array_equal(trim, adc.trim_errors)
-            ):
-                found = ladder
-                break
-        if found is None:
-            found = adc.code_boundaries()
-            local.append([adc.technology, adc.spec, adc.trim_errors, found])
-        ladders.append(found)
-    return np.stack(ladders)
-
-
 class CompiledCore:
     """A weight program of a :class:`PhotonicTensorCore`, compiled to
     dense arrays for batched evaluation.
@@ -105,11 +79,7 @@ class CompiledCore:
     BatchScheduler` does on every cache miss) leaves this program valid.
     """
 
-    def __init__(
-        self,
-        core: PhotonicTensorCore,
-        ladder_cache: list | None = None,
-    ) -> None:
+    def __init__(self, core: PhotonicTensorCore) -> None:
         self.rows = core.rows
         self.columns = core.columns
         self.weight_bits = core.weight_bits
@@ -117,15 +87,10 @@ class CompiledCore:
         self.technology = core.technology
         self.weight_matrix = core.weight_matrix
         #: (rows, columns) photocurrent per unit input intensity.
-        self.response = np.stack(
-            [row_core.element_responses() for row_core in core.row_cores]
-        )
-        #: (rows, levels - 1) exact per-row code-transition voltages.
-        self.boundaries = _row_ladders(core, ladder_cache)
-        shared = all(
-            np.array_equal(self.boundaries[row], self.boundaries[0])
-            for row in range(1, self.rows)
-        )
+        self.response = stacked_element_responses(core.row_cores)
+        #: (rows, levels - 1) exact per-row code-transition voltages,
+        #: shared read-only with every compile of the same core.
+        self.boundaries, shared = core.ladder_stack()
         self._shared_ladder = self.boundaries[0] if shared else None
 
         adc = core.row_adcs[0]

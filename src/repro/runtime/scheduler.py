@@ -33,6 +33,7 @@ import numpy as np
 
 from ..config import Technology, default_technology
 from ..core.performance import PerformanceModel
+from ..core.quantization import integral_weights
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
 from .engine import CompiledCore, weight_key
@@ -368,7 +369,7 @@ class BatchScheduler:
         clock: if the request's batch cannot complete by then (see
         :meth:`flush`), the request is shed instead of evaluated.
         """
-        weights = np.asarray(weights, dtype=int)
+        weights = integral_weights(weights)
         if weights.shape != (self.rows, self.columns):
             raise ConfigurationError(
                 f"weight matrix must be {self.rows}x{self.columns}, "
@@ -448,9 +449,7 @@ class BatchScheduler:
             load_energy = self.core.weight_update_energy() - energy_before
             load_time = self.core.weight_update_time()
             program = CachedProgram(
-                engine=CompiledCore(
-                    self.core, ladder_cache=self.core.runtime_ladder_cache
-                ),
+                engine=CompiledCore(self.core),
                 load_energy=load_energy,
                 load_time=load_time,
             )

@@ -10,8 +10,10 @@ tiles are zero-padded — padded rows read code 0 and padded inputs
 contribute nothing, so no masking is needed on the way out.
 
 Each tile is compiled (:class:`~repro.runtime.engine.CompiledCore`)
-once at construction, with the ADC ladder bisection shared across the
-whole grid, so batched evaluation stays dense end-to-end.  Per-tile
+once at construction on a pristine probe core that a bounded
+process-wide memo keeps per tile design, so a build constructs no
+device object and every grid of a design shares one set of ADC
+ladders; batched evaluation stays dense end-to-end.  Per-tile
 row-TIA gains are chosen from the tile's own weight block (``gain=
 "auto"``): a block holding small weights uses a hotter TIA so its
 partial sums still resolve against the full eoADC ladder — the
@@ -25,15 +27,60 @@ end-to-end error against the exact float product.
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import Technology, default_technology
+from ..core.quantization import integral_weights
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import MappingError
 from ..ml.mapping import iter_tile_blocks, tile_grid
 from .engine import CompiledCore
+
+#: Bound on :data:`_PROBE_MEMO` entries (least recently used evicted).
+PROBE_MEMO_SIZE = 8
+
+#: Process-wide memo of pristine probe cores, keyed by the technology
+#: fingerprint and the tile design (rows, columns, weight bits, ADC
+#: bits); see :func:`probe_core`.
+_PROBE_MEMO: OrderedDict[tuple, PhotonicTensorCore] = OrderedDict()
+
+
+def probe_core(
+    technology: Technology,
+    tile_rows: int,
+    tile_columns: int,
+    weight_bits: int | None,
+    adc_bits: int | None,
+) -> PhotonicTensorCore:
+    """The memoised pristine core :class:`TiledMatmul` compiles tiles on.
+
+    A tile compile reads only the probe's design and the block it loads,
+    so one probe per design serves every grid.  The probe owns a private
+    copy of the technology: an in-place edit of the caller's technology
+    changes the fingerprint (the next build gets a fresh probe) and
+    never reaches a probe built for the old value.
+    """
+    key = (technology.fingerprint(), tile_rows, tile_columns, weight_bits, adc_bits)
+    probe = _PROBE_MEMO.get(key)
+    if probe is not None:
+        _PROBE_MEMO.move_to_end(key)
+        return probe
+    probe = PhotonicTensorCore(
+        rows=tile_rows,
+        columns=tile_columns,
+        weight_bits=weight_bits,
+        adc_bits=adc_bits,
+        technology=copy.deepcopy(technology),
+        label="tiled.probe",
+    )
+    _PROBE_MEMO[key] = probe
+    while len(_PROBE_MEMO) > PROBE_MEMO_SIZE:
+        _PROBE_MEMO.popitem(last=False)
+    return probe
 
 
 @dataclass
@@ -147,8 +194,6 @@ class TiledMatmul:
         adc_bits: int | None = None,
         technology: Technology | None = None,
         gain: float | str = "auto",
-        label: str = "tiled",
-        ladder_cache: list | None = None,
         drift_state=None,
     ) -> None:
         self.technology = technology if technology is not None else default_technology()
@@ -158,7 +203,7 @@ class TiledMatmul:
         if self.tile_rows < 1 or self.tile_columns < 1:
             raise MappingError("tile dimensions must be >= 1")
 
-        weight_matrix = np.asarray(weight_matrix, dtype=int)
+        weight_matrix = integral_weights(weight_matrix, MappingError)
         if weight_matrix.ndim != 2:
             raise MappingError(
                 f"weight matrix must be 2-D, got shape {weight_matrix.shape}"
@@ -166,20 +211,9 @@ class TiledMatmul:
         self.weight_matrix = weight_matrix
         self.out_features, self.in_features = weight_matrix.shape
 
-        probe = PhotonicTensorCore(
-            rows=self.tile_rows,
-            columns=self.tile_columns,
-            weight_bits=weight_bits,
-            adc_bits=adc_bits,
-            technology=self.technology,
-            label=f"{label}.probe",
+        probe = probe_core(
+            self.technology, self.tile_rows, self.tile_columns, weight_bits, adc_bits
         )
-        # Callers serving a drifting core (repro.api / repro.health)
-        # thread its live DriftState in: every tile of the grid is a
-        # core in the same package, so the whole grid shares one
-        # degradation trajectory.  The compiled tiles snapshot the
-        # state's trims exactly as CompiledCore does.
-        probe.drift_state = drift_state
         # Same stamping rule as CompiledCore: an inactive state (no
         # models) never distinguishes epochs, so both caches agree on
         # which programs a recalibration invalidates.
@@ -210,12 +244,6 @@ class TiledMatmul:
         self.tiles: list[list[CompiledCore]] = [[] for _ in range(self.row_tiles)]
 
         full_scale_dot = self.tile_columns * self.max_weight
-        # Callers building several grids over the same technology (the
-        # dense/conv differential pairs, the serving cache) pass a
-        # shared ladder memo so the ADC bisection runs once for all of
-        # them; a private list still shares it across this grid's tiles.
-        if ladder_cache is None:
-            ladder_cache = []
         # Every tile of a real grid is its own core loading its block
         # into cleared pSRAM arrays, so each block's load energy is the
         # energy delta of clearing a probe and then loading the block —
@@ -254,10 +282,21 @@ class TiledMatmul:
             switches = [count + flips for count, flips in zip(switches, ones)]
             load_energy += sum(count * per_switch for count in switches) - energy_before
             previous = ones
-            # Reuse one physical-core template per tile slot; each
-            # compile() snapshot is detached from the template.
+            # Callers serving a drifting core (repro.api / repro.health)
+            # thread its live DriftState in: every tile of the grid is a
+            # core in the same package, so the whole grid shares one
+            # degradation trajectory.  Each tile keeps the live state and
+            # snapshots its trims; the shared probe holds it only while
+            # the tile compiles.  The tile carries the caller's
+            # technology, not the probe's private copy.
             probe.load_weight_matrix(block)
-            self.tiles[row_tile].append(CompiledCore(probe, ladder_cache=ladder_cache))
+            probe.drift_state = drift_state
+            try:
+                tile = CompiledCore(probe)
+            finally:
+                probe.drift_state = None
+            tile.technology = self.technology
+            self.tiles[row_tile].append(tile)
         self.weight_update_energy = load_energy
         self.weight_update_time = self.column_tiles * probe.weight_update_time()
 

@@ -58,6 +58,46 @@ class RingCore:
         self._ring_key = key
 
 
+class LadderCore:
+    def __init__(self):
+        self._ladder_stack = None
+        self._ladder_shared = False
+
+    def invalidate_ladder_stack(self):
+        self._ladder_stack = None
+        self._ladder_shared = False
+
+    def invalidate_ladders(self):
+        self.invalidate_ladder_stack()
+
+    def ladder_stack(self, stack, shared):
+        if self._ladder_stack is None:
+            self.invalidate_ladder_stack()
+            self._ladder_stack = stack
+            self._ladder_shared = shared
+        return self._ladder_stack, self._ladder_shared
+
+
+class DriveCore:
+    def __init__(self):
+        self._drives_at = None
+        self._rings_exposed = False
+
+    def invalidate_drives(self):
+        self._drives_at = None
+
+    def invalidate_ring_tables(self):
+        pass
+
+    def rings(self, writes):
+        if not self._rings_exposed:
+            self.invalidate_ring_tables()
+            self._rings_exposed = True
+        if self._drives_at != writes:
+            self.invalidate_drives()
+            self._drives_at = writes
+
+
 class NoHooksNoContract:
     """A class without invalidate_* hooks is out of contract scope."""
 

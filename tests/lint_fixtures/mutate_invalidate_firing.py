@@ -1,4 +1,4 @@
-"""Fixture: compiled-state mutations that skip the hook (4 findings)."""
+"""Fixture: compiled-state mutations that skip the hook (7 findings)."""
 
 import numpy as np
 
@@ -39,3 +39,33 @@ class RingCore:
 
     def retune(self, tables):
         self._ring_tables = tables  # firing: transmission caches go stale
+
+
+class LadderCore:
+    def __init__(self):
+        self._ladder_stack = None
+        self._ladder_shared = False
+
+    def invalidate_ladder_stack(self):
+        self._ladder_stack = None
+        self._ladder_shared = False
+
+    def ladder_stack(self, stack):
+        self._ladder_stack = stack  # firing: compiles read a stale stack
+        return self._ladder_stack
+
+
+class DriveCore:
+    def __init__(self):
+        self._drives_at = None
+        self._rings_exposed = False
+
+    def invalidate_drives(self):
+        self._drives_at = None
+
+    def invalidate_ring_tables(self):
+        pass
+
+    def sync(self, writes):
+        self._drives_at = writes  # firing: drives claim a write they never saw
+        self._rings_exposed = True  # firing: tables skip revalidation

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.api import PhotonicSession
+from repro.core.compute_core import VectorComputeCore
 from repro.core.quantization import (
     decode_output,
     dequantize_weights,
     encode_inputs,
+    integral_weights,
     quantize_weights,
     signed_matmul_correction,
 )
-from repro.errors import ConfigurationError
+from repro.core.tensor_core import PhotonicTensorCore
+from repro.errors import ConfigurationError, MappingError
+from repro.runtime.scheduler import BatchScheduler
+from repro.runtime.tiling import TiledMatmul
 
 
 def test_unsigned_quantization_round_trip():
@@ -86,3 +92,72 @@ def test_bits_validation():
         dequantize_weights(np.ones(2), 1.0, bits=0)
     with pytest.raises(ConfigurationError):
         signed_matmul_correction(np.ones(2), np.ones(2), bits=0)
+
+
+# --------------------------------------------------------------------------
+# integral weights at every entry point
+# --------------------------------------------------------------------------
+
+
+def test_integral_weights_accepts_integral_values_of_any_dtype():
+    for weights in ([[2, 1], [0, 1]], np.array([[2, 1], [0, 1]], dtype=np.uint8),
+                    [[2.0, 1.0], [0.0, 1.0]], [[True, False], [False, True]]):
+        converted = integral_weights(weights)
+        assert converted.dtype == np.dtype(int)
+        assert np.array_equal(converted, np.asarray(weights, dtype=float))
+
+
+def test_integral_weights_passes_integer_arrays_through_unchanged():
+    weights = np.array([[2, 1], [0, 1]])
+    assert integral_weights(weights) is weights
+
+
+@pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf])
+def test_integral_weights_rejects_what_a_cast_would_change(bad):
+    with pytest.raises(ConfigurationError):
+        integral_weights([[bad, 1], [0, 1]])
+    with pytest.raises(MappingError):
+        integral_weights([[bad, 1], [0, 1]], MappingError)
+
+
+def test_tensor_core_load_rejects_non_integral_weights():
+    """Regression: 2.7 used to load (and serve) as 2."""
+    core = PhotonicTensorCore(rows=2, columns=2)
+    with pytest.raises(ConfigurationError, match="2.7"):
+        core.load_weight_matrix([[2.7, 1], [0, 1]])
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        core.load_weight_matrix([[np.nan, 1], [0, 1]])
+    core.load_weight_matrix([[2.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(core.weight_matrix, [[2, 1], [0, 1]])
+
+
+def test_vector_core_load_rejects_non_integral_weights():
+    with pytest.raises(ConfigurationError):
+        VectorComputeCore(2).load_weights([1.5, 1])
+
+
+def test_session_submit_rejects_non_integral_weights():
+    """Regression: the session used to resolve this request with a value."""
+    session = PhotonicSession(rows=2, columns=2)
+    with pytest.raises(ConfigurationError, match="2.7"):
+        session.submit([[2.7, 1], [0, 1]], [0.5, 0.5])
+    # Larger than the grid: the tiled route validates at submit too.
+    with pytest.raises(ConfigurationError):
+        session.submit(np.full((3, 3), 1.25), np.full(3, 0.5))
+    assert session.pending == 0
+    future = session.submit([[2.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
+    assert future.result() is not None
+
+
+def test_scheduler_submit_rejects_non_integral_weights():
+    scheduler = BatchScheduler(rows=2, columns=2)
+    with pytest.raises(ConfigurationError):
+        scheduler.submit([[2.7, 1], [0, 1]], [0.5, 0.5])
+    assert scheduler.pending == 0
+
+
+def test_tiled_matmul_rejects_non_integral_weights():
+    with pytest.raises(MappingError, match="2.7"):
+        TiledMatmul([[2.7, 1, 0], [0, 1, 1]], tile_rows=2, tile_columns=2)
+    with pytest.raises(MappingError, match="non-finite"):
+        TiledMatmul([[np.inf, 1, 0], [0, 1, 1]], tile_rows=2, tile_columns=2)
