@@ -68,7 +68,14 @@ from .futures import Future, RunReport
 from .graph import Model
 from .policy import FlushPolicy
 from .routing import HashRing, RoutingPolicy
-from .session import ClockSource, DeployedModel, DriftLike, PhotonicSession
+from .session import (
+    ClockSource,
+    DeployedModel,
+    DriftLike,
+    PhotonicSession,
+    _checked_input,
+    _checked_weights,
+)
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -911,6 +918,13 @@ class PhotonicCluster:
         ``min_adc_bits`` asks for a read-out precision floor on a
         heterogeneous fleet (graceful fallback to the best available
         cores when none reaches it)."""
+        if self.max_pending is not None:
+            # Refuse a malformed request before admission control can
+            # shed it: only a valid request counts as shed.  The routed
+            # core checks the range against its own weight precision.
+            fleet_max = max(session.core.max_weight for session in self._sessions)
+            _checked_input(x, _checked_weights(weights, fleet_max).shape[1])
+            PhotonicSession._validated_gain(gain)
         priority = self._admit(priority)
         weights = np.asarray(weights)
         shape = (

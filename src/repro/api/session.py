@@ -26,6 +26,7 @@ deprecation shim over this class — the engine room moved here.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -73,6 +74,84 @@ DriftLike = DriftState | DriftModel | Iterable[DriftModel] | None
 #: :class:`~repro.telemetry.ModelClock`, any zero-argument callable
 #: returning seconds, or None (host wall clock, the default).
 ClockSource = ModelClock | Callable[[], float] | None
+
+
+#: Validated weight matrices a session remembers (least recently used
+#: first out), and the largest matrix [bytes] it remembers: a record
+#: holds about three copies of its matrix, so the memo stays under
+#: ~12 MiB.  Larger matrices are validated on every submit.
+_WEIGHT_MEMO_LIMIT = 64
+_WEIGHT_MEMO_MAX_BYTES = 1 << 16
+
+#: Inputs up to this length are range-checked as a Python list (numpy's
+#: per-call overhead dominates two reductions over a few elements).
+_LIST_CHECK_LIMIT = 64
+
+
+def _outside_unit_interval(x: np.ndarray) -> bool:
+    """``x.min() < 0.0 or x.max() > 1.0`` for a non-empty 1-D ``x``.
+
+    Short inputs are checked on a list first.  Without NaN the list's
+    min/max are numpy's; with NaN numpy's comparisons are all False, so
+    a list that passes passes numpy too, and only a list that fails is
+    re-checked by numpy.
+    """
+    if x.size <= _LIST_CHECK_LIMIT:
+        values = x.tolist()
+        if not (min(values) < 0.0 or max(values) > 1.0):
+            return False
+    return bool(x.min() < 0.0 or x.max() > 1.0)
+
+
+def _checked_weights(weights: ArrayLike, max_weight: int) -> np.ndarray:
+    """A raw dense weight matrix as an integer array, refused unless it
+    is integral, 2-D and within ``[0, max_weight]``."""
+    weights = integral_weights(weights)
+    if weights.ndim != 2:
+        raise ConfigurationError(
+            f"weight matrix must be 2-D, got shape {weights.shape}"
+        )
+    if np.any(weights < 0) or np.any(weights > max_weight):
+        raise ConfigurationError(
+            f"weights must lie in [0, {max_weight}], got range "
+            f"[{weights.min()}, {weights.max()}]"
+        )
+    return weights
+
+
+def _checked_input(x: ArrayLike, in_features: int) -> np.ndarray:
+    """A raw dense input vector as a float array, refused unless it has
+    ``in_features`` entries in ``[0, 1]``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (in_features,):
+        raise ConfigurationError(
+            f"input must have shape ({in_features},), got {x.shape}"
+        )
+    if x.size and _outside_unit_interval(x):
+        raise ConfigurationError(
+            f"analog inputs must lie in [0, 1], got range "
+            f"[{x.min():.6g}, {x.max():.6g}]"
+        )
+    return x
+
+
+class _WeightRecord:
+    """One validated weight matrix of the raw dense route: its shape,
+    the private read-only matrix the route serves (zero-padded onto the
+    tile when it fits one, a copy otherwise), that matrix's program
+    cache key and which route serves it."""
+
+    __slots__ = ("out_features", "in_features", "matrix", "key", "native")
+
+    def __init__(
+        self, matrix: np.ndarray, out_features: int, in_features: int, native: bool
+    ) -> None:
+        matrix.flags.writeable = False
+        self.out_features = out_features
+        self.in_features = in_features
+        self.matrix = matrix
+        self.key = weight_key(matrix)
+        self.native = native
 
 
 @dataclass
@@ -162,6 +241,7 @@ class DeployedModel:
             return future
         self._queue.append((batch, future))
         self._session._model_requests += 1
+        self._session._queued += 1
         self._session._note_submit(future, "model", tenant)
         self._session._note_deadline(future, deadline_at)
         self._session._after_submit()
@@ -371,6 +451,14 @@ class PhotonicSession:
         #: Shared LRU of tiled/conv/model weight programs.
         self.tiled_cache = WeightProgramCache(tiled_cache_capacity)
         self._native_pending: list[tuple[Future, object, int]] = []
+        #: Validated weight matrices of the raw dense route, keyed by
+        #: content (dtype, shape, bytes): a matrix seen before skips
+        #: validation and hashing (see :meth:`_weight_record`).
+        self._weight_memo: OrderedDict[tuple, _WeightRecord] = OrderedDict()
+        #: Requests queued on the tiled, conv and endpoint routes (the
+        #: scheduler counts the native route's); :attr:`pending` sums
+        #: the two counters instead of the queues.
+        self._queued = 0
         self._tiled_pending: dict[tuple[bytes, float | str], dict] = {}
         self._conv_pending: dict[tuple[bytes, float], dict] = {}
         self._endpoints: list[DeployedModel] = []
@@ -492,12 +580,7 @@ class PhotonicSession:
     @property
     def pending(self) -> int:
         """Requests submitted but not yet flushed, across all routes."""
-        return (
-            self.scheduler.pending
-            + sum(len(group["futures"]) for group in self._tiled_pending.values())
-            + sum(len(group["futures"]) for group in self._conv_pending.values())
-            + sum(len(endpoint._queue) for endpoint in self._endpoints)
-        )
+        return self.scheduler.pending + self._queued
 
     @property
     def endpoints(self) -> tuple:
@@ -548,84 +631,93 @@ class PhotonicSession:
         the miss counts on :attr:`RunReport.deadline_misses`.
         ``tenant`` labels the request for per-tenant telemetry.
         """
-        weights = integral_weights(weights)
-        if weights.ndim != 2:
-            raise ConfigurationError(
-                f"weight matrix must be 2-D, got shape {weights.shape}"
-            )
-        x = np.asarray(x, dtype=float)
-        out_features, in_features = weights.shape
-        if x.shape != (in_features,):
-            raise ConfigurationError(
-                f"input must have shape ({in_features},), got {x.shape}"
-            )
+        record = self._weight_record(weights)
+        out_features, in_features = record.out_features, record.in_features
+        x = _checked_input(x, in_features)
         gain = self._validated_gain(gain)
         deadline_at = self._resolve_deadline(deadline)
         self._submit_count += 1
-        label = f"dense {out_features}x{in_features} request #{self._submit_count}"
+        future = Future(
+            self,
+            f"dense {out_features}x{in_features} request #{self._submit_count}",
+            self._flushes + 1,
+        )
         if deadline is not None and deadline <= 0.0:
             # Already expired at submit: never enters a queue.
-            future = Future(self, label, self._flushes + 1)
             future._deadline = deadline_at
             future._tenant = tenant
             self._shed_future(future)
             return future
-        if out_features <= self.rows and in_features <= self.columns:
-            padded_w = np.zeros((self.rows, self.columns), dtype=int)
-            padded_w[:out_features, :in_features] = weights
-            padded_x = np.zeros(self.columns)
-            padded_x[:in_features] = x
+        if record.native:
+            if in_features == self.columns:
+                padded_x = x.copy()
+            else:
+                padded_x = np.zeros(self.columns)
+                padded_x[:in_features] = x
             if gain is None:
                 gain = 1.0
             elif gain == "auto":
-                gain = self._auto_gain(padded_w)
-            ticket = self.scheduler.submit(
-                padded_w, padded_x, gain=gain, deadline=deadline_at
+                gain = self._auto_gain(record.matrix)
+            ticket = self.scheduler._enqueue(
+                record.key, record.matrix, padded_x, gain, deadline_at
             )
-            future = Future(self, label, self._flushes + 1)
             self._native_pending.append((future, ticket, out_features))
             self._note_submit(future, "native", tenant)
         else:
-            future = self._submit_tiled(weights, x, gain, label, tenant)
+            # Requests batch per (program, gain): mixed gains against
+            # the same weights must not share an evaluation.  None means
+            # native gain 1.0 (matching the single-tile path); "auto"
+            # defers to the grid's per-tile calibrated gains.
+            gain = 1.0 if gain is None else gain
+            group = self._tiled_pending.get((record.key, gain))
+            if group is None:
+                group = {"weights": record.matrix, "inputs": [], "futures": [], "gain": gain}
+                self._tiled_pending[(record.key, gain)] = group
+            group["inputs"].append(x.copy())
+            group["futures"].append(future)
+            self._tiled_requests += 1
+            self._queued += 1
+            self._note_submit(future, "tiled", tenant)
         self._note_deadline(future, deadline_at)
         self._after_submit()
         return future
 
-    def _submit_tiled(
-        self,
-        weights: np.ndarray,
-        x: np.ndarray,
-        gain: float | str,
-        label: str,
-        tenant: str | None = None,
-    ) -> Future:
-        max_weight = self.core.max_weight
-        if np.any(weights < 0) or np.any(weights > max_weight):
-            raise ConfigurationError(
-                f"weights must lie in [0, {max_weight}], got range "
-                f"[{weights.min()}, {weights.max()}]"
-            )
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
-            raise ConfigurationError(
-                f"analog inputs must lie in [0, 1], got range "
-                f"[{x.min():.6g}, {x.max():.6g}]"
-            )
-        # Requests batch per (program, gain): mixed gains against the
-        # same weights must not share an evaluation.  None means native
-        # gain 1.0 (matching the single-tile path); "auto" defers to
-        # the grid's per-tile calibrated gains.
-        gain = 1.0 if gain is None else gain
-        key = (weight_key(weights), gain)
-        group = self._tiled_pending.get(key)
-        if group is None:
-            group = {"weights": weights.copy(), "inputs": [], "futures": [], "gain": gain}
-            self._tiled_pending[key] = group
-        future = Future(self, label, self._flushes + 1)
-        group["inputs"].append(x.copy())
-        group["futures"].append(future)
-        self._tiled_requests += 1
-        self._note_submit(future, "tiled", tenant)
-        return future
+    def _weight_record(self, weights: ArrayLike) -> _WeightRecord:
+        """The validated record of a raw dense weight matrix.
+
+        The first sight of a matrix runs every check (integral values,
+        2-D, range ``[0, max_weight]``) and keys it; later submits of
+        equal content — same dtype, shape and bytes, so an in-place
+        edit of the caller's array is a new matrix — reuse the record.
+        A refused matrix raises and is never remembered.  Object arrays
+        (whose bytes are references, not content) and matrices over
+        :data:`_WEIGHT_MEMO_MAX_BYTES` are validated every time.
+        """
+        array = np.asarray(weights)
+        if array.dtype.hasobject or array.nbytes > _WEIGHT_MEMO_MAX_BYTES:
+            return self._validated_record(array)
+        memo = self._weight_memo
+        content = (array.dtype, array.shape, array.tobytes())
+        record = memo.get(content)
+        if record is not None:
+            memo.move_to_end(content)
+            return record
+        record = self._validated_record(array)
+        memo[content] = record
+        if len(memo) > _WEIGHT_MEMO_LIMIT:
+            memo.popitem(last=False)
+        return record
+
+    def _validated_record(self, array: np.ndarray) -> _WeightRecord:
+        weights = _checked_weights(array, self.core.max_weight)
+        out_features, in_features = weights.shape
+        native = out_features <= self.rows and in_features <= self.columns
+        if native:
+            matrix = np.zeros((self.rows, self.columns), dtype=int)
+            matrix[:out_features, :in_features] = weights
+        else:
+            matrix = weights.copy()
+        return _WeightRecord(matrix, out_features, in_features, native)
 
     # -- conv route ----------------------------------------------------------
     def submit_conv(
@@ -668,18 +760,6 @@ class PhotonicSession:
         out_rows, out_cols = output_shape(image.shape[1:], kernel_size, stride)
         encoded, scales = encode_patch_batch(patches)
 
-        # Conv programs share the tiled LRU; the prefix keeps a kernel
-        # bank from colliding with a plain weight matrix of equal bytes.
-        key = b"conv:" + weight_key(np.concatenate([q_positive, q_negative]))
-        group = self._conv_pending.get((key, gain))
-        if group is None:
-            group = {
-                "q_positive": q_positive,
-                "q_negative": q_negative,
-                "segments": [],
-                "futures": [],
-            }
-            self._conv_pending[(key, gain)] = group
         self._submit_count += 1
         future = Future(
             self,
@@ -692,9 +772,22 @@ class PhotonicSession:
             future._tenant = tenant
             self._shed_future(future)
             return future
+        # Conv programs share the tiled LRU; the prefix keeps a kernel
+        # bank from colliding with a plain weight matrix of equal bytes.
+        key = b"conv:" + weight_key(np.concatenate([q_positive, q_negative]))
+        group = self._conv_pending.get((key, gain))
+        if group is None:
+            group = {
+                "q_positive": q_positive,
+                "q_negative": q_negative,
+                "segments": [],
+                "futures": [],
+            }
+            self._conv_pending[(key, gain)] = group
         group["segments"].append((encoded, scales, weight_scale))
         group["futures"].append(future)
         self._conv_requests += 1
+        self._queued += 1
         self._note_submit(future, "conv", tenant)
         self._note_deadline(future, deadline_at)
         self._after_submit()
@@ -1234,10 +1327,14 @@ class PhotonicSession:
                     sched.analog_time + sched.weight_time_spent - sched_before
                 )
             for future, ticket, out_features in self._native_pending:
-                if ticket.result is not None:
+                columns = ticket._batch
+                if columns is not None:
+                    # Straight from the batch columns: no per-request
+                    # result object in between.
+                    column = ticket._column
                     future._resolve(
-                        ticket.result.estimates[:out_features],
-                        codes=ticket.result.codes[:out_features],
+                        columns.estimates[:out_features, column],
+                        codes=columns.codes[:out_features, column],
                     )
                     resolved_futures.append(future)
                     if tel is not None:
@@ -1341,9 +1438,6 @@ class PhotonicSession:
                 else:
                     service_now += samples * period
             for (key, gain), group in self._conv_pending.items():
-                if not group["segments"]:
-                    # Every request of this bank was shed at submit.
-                    continue
                 weight_before = self._tiled_weight_time
                 program = self._differential_program(
                     key, group["q_positive"], group["q_negative"]
@@ -1457,6 +1551,7 @@ class PhotonicSession:
             self._conv_pending.clear()
             for endpoint in self._endpoints:
                 endpoint._queue.clear()
+            self._queued = 0
             self._oldest_pending = None
             self._earliest_deadline = None
             self._flushes += 1

@@ -267,15 +267,16 @@ class VectorComputeCore:
         cache = bus_products(self._current_ring_tables(), bits, self.macro_count)
         self._latch(weights, bits, cache)
 
-    def _latch(self, weights: np.ndarray, bits: np.ndarray, cache: np.ndarray) -> None:
+    def _latch(self, weights: np.ndarray, bits: np.ndarray, cache: np.ndarray) -> int:
         """Store validated words: their pSRAM bits ``(elements,
         planes)``, the words themselves and the bus transmissions
         :func:`bus_products` selected for them from this core's ring
-        tables.  :meth:`load_weights` and the tensor core's one-pass
-        matrix load both end here."""
-        self.weight_memory.write_bits(bits)
+        tables; returns the flipped bitcells.  :meth:`load_weights` and
+        the tensor core's one-pass matrix load both end here."""
+        flips = self.weight_memory.write_bits(bits)
         self._weights = weights
         self._transmission_cache = cache
+        return flips
 
     # -- ring tables ------------------------------------------------------------
     def _current_ring_tables(self, fingerprint: tuple | None = None) -> np.ndarray:

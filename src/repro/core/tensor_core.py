@@ -114,8 +114,9 @@ class PhotonicTensorCore:
     def weight_matrix(self) -> np.ndarray:
         return self._weight_matrix.copy()
 
-    def load_weight_matrix(self, matrix) -> None:
-        """Stream a weight matrix into the pSRAM arrays (20 GHz update).
+    def load_weight_matrix(self, matrix) -> float:
+        """Stream a weight matrix into the pSRAM arrays (20 GHz update);
+        returns the load's wall-plug switch energy [J].
 
         One pass over the matrix: it is validated, bit-sliced and
         matched to the technology value once, and every row's bus
@@ -123,6 +124,12 @@ class PhotonicTensorCore:
         over the row cores' ring tables.  Row cores latch only pSRAM
         bits and transmission caches; their ring drives follow when the
         rings are next read (:attr:`VectorComputeCore.multipliers`).
+
+        The returned energy is :meth:`weight_update_energy` after the
+        load minus before it, replayed from each row's switch count and
+        the flips the load counted, with the same float operations in
+        the same row order (the rows share one technology, hence one
+        per-switch energy).
         """
         matrix = integral_weights(matrix)
         if matrix.shape != (self.rows, self.columns):
@@ -139,9 +146,20 @@ class PhotonicTensorCore:
             [core._current_ring_tables(fingerprint) for core in self.row_cores]
         )
         caches = bus_products(tables, bits, self.row_cores[0].macro_count)
-        for core, weights, row_bits, cache in zip(self.row_cores, matrix, bits, caches):
+        before = [core.weight_memory.switch_events for core in self.row_cores]
+        flips = [
             core._latch(weights, row_bits, cache)
+            for core, weights, row_bits, cache in zip(
+                self.row_cores, matrix, bits, caches
+            )
+        ]
         self._weight_matrix = matrix
+        per_switch = self.row_cores[0].weight_memory.switch_energy
+        energy_before = sum(count * per_switch for count in before)
+        return (
+            sum((count + flipped) * per_switch for count, flipped in zip(before, flips))
+            - energy_before
+        )
 
     def weight_update_time(self) -> float:
         """Time [s] to stream one full weight matrix at the update rate.

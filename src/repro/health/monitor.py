@@ -210,9 +210,7 @@ class HealthMonitor:
         depend on the core's age."""
         session = self._session
         core = session.core
-        energy_before = core.weight_update_energy()
-        core.load_weight_matrix(self.probe_weights)
-        session._calibration_energy += core.weight_update_energy() - energy_before
+        session._calibration_energy += core.load_weight_matrix(self.probe_weights)
         session._calibration_time += core.weight_update_time()
         tel = session.telemetry
         if tel is not None:

@@ -36,7 +36,7 @@ from ..core.performance import PerformanceModel
 from ..core.quantization import integral_weights
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
-from .engine import CompiledCore, weight_key
+from .engine import BatchResult, CompiledCore, weight_key
 
 
 @dataclass
@@ -225,12 +225,19 @@ def _store_key(key) -> bytes:
 
 
 class Ticket:
-    """Handle for one submitted request; resolved by the next flush."""
+    """Handle for one submitted request; resolved by the next flush.
 
-    __slots__ = ("result", "resolved_at", "deadline", "expired")
+    A resolved ticket holds its batch's :class:`~repro.runtime.engine.
+    BatchResult` and its column in it; :attr:`result` builds the
+    single-vector view on read, so a flush never materializes a
+    per-request result nobody asks for.
+    """
+
+    __slots__ = ("_batch", "_column", "resolved_at", "deadline", "expired")
 
     def __init__(self, deadline: float | None = None) -> None:
-        self.result: MatvecResult | None = None
+        self._batch: BatchResult | None = None
+        self._column = 0
         #: Modelled-clock resolution timestamp [s]; stamped only when a
         #: telemetry binding is attached to the scheduler.
         self.resolved_at: float | None = None
@@ -242,8 +249,15 @@ class Ticket:
         self.expired = False
 
     @property
+    def result(self) -> MatvecResult | None:
+        """The request's :class:`MatvecResult` (None until resolved)."""
+        if self._batch is None:
+            return None
+        return self._batch.column(self._column)
+
+    @property
     def done(self) -> bool:
-        return self.result is not None
+        return self._batch is not None
 
 
 @dataclass
@@ -340,6 +354,9 @@ class BatchScheduler:
         self.cache = WeightProgramCache(cache_capacity)
         self.max_batch = max_batch
         self._pending: OrderedDict[tuple[bytes, float], dict] = OrderedDict()
+        #: Requests queued in ``_pending`` (kept beside the queues so
+        #: :attr:`pending` reads no queue).
+        self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
         #: Optional :class:`repro.telemetry.Telemetry` binding (set by
         #: the owning session).  None = zero telemetry calls on the
@@ -357,7 +374,7 @@ class BatchScheduler:
     @property
     def pending(self) -> int:
         """Requests submitted but not yet flushed."""
-        return sum(len(group["tickets"]) for group in self._pending.values())
+        return self._queued
 
     # -- request path --------------------------------------------------------
     def submit(
@@ -393,26 +410,42 @@ class BatchScheduler:
         if gain <= 0.0:
             raise ConfigurationError(f"TIA gain must be positive, got {gain}")
 
-        key = (weight_key(weights), float(gain))
-        group = self._pending.get(key)
+        # Copy: np.asarray aliases the caller's arrays, and an in-place
+        # mutation between submit and flush would compile the mutated
+        # weights under the original key, poisoning the program cache
+        # for every future request with that key.
+        return self._enqueue(
+            weight_key(weights), weights.copy(), x.copy(), float(gain), deadline
+        )
+
+    def _enqueue(
+        self,
+        key: bytes,
+        weights: np.ndarray,
+        x: np.ndarray,
+        gain: float,
+        deadline: float | None,
+    ) -> Ticket:
+        """Queue one request whose arrays are already validated, private
+        to the scheduler and keyed (``key`` is ``weight_key(weights)``):
+        the shared tail of :meth:`submit` and of a session's submit,
+        which validates and keys each weight matrix once per session."""
+        group = self._pending.get((key, gain))
         if group is None:
-            # Copy: np.asarray aliases the caller's int array, and an
-            # in-place mutation between submit and flush would compile
-            # the mutated weights under the original key, poisoning the
-            # program cache for every future request with that key.
             group = {
-                "weights": weights.copy(),
+                "weights": weights,
                 "inputs": [],
                 "tickets": [],
                 "has_deadline": False,
             }
-            self._pending[key] = group
+            self._pending[(key, gain)] = group
         ticket = Ticket(deadline=deadline)
-        group["inputs"].append(x.copy())
+        group["inputs"].append(x)
         group["tickets"].append(ticket)
         if deadline is not None:
             group["has_deadline"] = True
         self._stats.requests += 1
+        self._queued += 1
         return ticket
 
     def _program_for(self, key: bytes, weights: np.ndarray) -> CachedProgram:
@@ -444,9 +477,7 @@ class BatchScheduler:
             load_energy = program.load_energy
             load_time = program.load_time
         else:
-            energy_before = self.core.weight_update_energy()
-            self.core.load_weight_matrix(weights)
-            load_energy = self.core.weight_update_energy() - energy_before
+            load_energy = self.core.load_weight_matrix(weights)
             load_time = self.core.weight_update_time()
             program = CachedProgram(
                 engine=CompiledCore(self.core),
@@ -542,7 +573,8 @@ class BatchScheduler:
                     batch = np.stack(chunk, axis=1)
                     result = program.engine.matmul(batch, gain=gain)
                     for offset, ticket in enumerate(chunk_tickets):
-                        ticket.result = result.column(offset)
+                        ticket._batch = result
+                        ticket._column = offset
                     self._stats.batches += 1
                     self._stats.samples += len(chunk)
                     self._stats.analog_time += len(chunk) * sample_period
@@ -580,6 +612,7 @@ class BatchScheduler:
             # Never leave a stale group behind: a failed compile or
             # evaluation must not wedge every subsequent flush.
             self._pending.clear()
+            self._queued = 0
             self._stats.flushed += resolved
         return resolved
 

@@ -94,6 +94,17 @@ def test_weight_update_time_and_energy(tech):
     assert core.weight_update_energy() == pytest.approx(24 * 0.5e-12, rel=1e-3)
 
 
+def test_load_prices_itself_like_the_ledger(tech):
+    """A load returns exactly the ledger's after-minus-before energy,
+    float for float, whatever the cells held before."""
+    core = PhotonicTensorCore(rows=5, columns=7, weight_bits=3, technology=tech)
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        before = core.weight_update_energy()
+        priced = core.load_weight_matrix(rng.integers(0, 8, (5, 7)))
+        assert priced == core.weight_update_energy() - before
+
+
 def test_weight_matrix_round_trip(core):
     matrix = core.weight_matrix
     assert matrix.shape == (4, 8)
